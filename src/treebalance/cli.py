@@ -9,10 +9,8 @@ All output is deterministic for a given set of flags.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import partial
 
 from .extremal import (
     max_value_closed,
@@ -21,21 +19,12 @@ from .extremal import (
     verify_extremal,
 )
 from .families import caterpillar, echelon, fully_balanced
-from .newick import NewickDocument, NewickError, parse_newick, write_newick
+from .newick import NewickDocument, parse_newick, write_newick
 from .shapes import DEFAULT_ENUM_BOUND, count_shapes, enumerate_shapes
 from .stairs2 import stairs2_direct, stairs2_recursive
 from .tree import canonical
 
 TABLE_RANGE_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """One line of the maximum-value table; the exact string is authoritative."""
-
-    n: int
-    value_exact: str
-    value_decimal: str
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:
@@ -79,17 +68,14 @@ def _read_input(path: str) -> str:
 
 def cmd_compute(args) -> int:
     doc = parse_newick(_read_input(args.input))
-    if args.method == "direct":
-        print(_fmt(stairs2_direct(doc.shape)))
+    methods = {"direct": stairs2_direct, "recursive": stairs2_recursive}
+    if args.method != "both":
+        print(_fmt(methods[args.method](doc.shape)))
         return 0
-    if args.method == "recursive":
-        print(_fmt(stairs2_recursive(doc.shape)))
-        return 0
-    direct = stairs2_direct(doc.shape)
-    recursive = stairs2_recursive(doc.shape)
-    print(f"direct: {_fmt(direct)}")
-    print(f"recursive: {_fmt(recursive)}")
-    if direct != recursive:
+    values = {name: fn(doc.shape) for name, fn in methods.items()}
+    for name, value in values.items():
+        print(f"{name}: {_fmt(value)}")
+    if values["direct"] != values["recursive"]:
         print("error: direct and recursive values disagree", file=sys.stderr)
         return 1
     return 0
@@ -110,27 +96,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _formulas() -> dict:
+    """The maximum-value formulas by ``--method`` name.
+
+    Built on each call, so it holds whatever the module's names are bound
+    to at that time.
+    """
+    return {
+        "recursive": max_value_recursive,
+        "closed": max_value_closed,
+        "even": max_value_even_recursion,
+    }
+
+
+def _formula_values(n: int) -> "dict[str, Fraction]":
+    """Every formula that applies to n >= 1; the even one needs an even n."""
+    return {name: fn(n) for name, fn in _formulas().items() if name != "even" or n % 2 == 0}
+
+
 def cmd_max_value(args) -> int:
     if args.n < 1:
         raise ValueError("need at least one leaf")
-    if args.method == "recursive":
-        print(_fmt(max_value_recursive(args.n)))
+    if args.method != "all":
+        print(_fmt(_formulas()[args.method](args.n)))
         return 0
-    if args.method == "closed":
-        print(_fmt(max_value_closed(args.n)))
-        return 0
-    if args.method == "even":
-        print(_fmt(max_value_even_recursion(args.n)))
-        return 0
-    results = [
-        ("recursive", max_value_recursive(args.n)),
-        ("closed", max_value_closed(args.n)),
-    ]
-    if args.n >= 2 and args.n % 2 == 0:
-        results.append(("even", max_value_even_recursion(args.n)))
-    for name, value in results:
+    values = _formula_values(args.n)
+    for name, value in values.items():
         print(f"{name}: {_fmt(value)}")
-    if len({value for _, value in results}) != 1:
+    if len(set(values.values())) != 1:
         print("error: the formulas disagree", file=sys.stderr)
         return 1
     return 0
@@ -144,30 +137,28 @@ def cmd_verify(args) -> int:
     bound = _enum_bound()
     if args.max_n < 2 or args.max_n > bound:
         raise ValueError(f"--max-n must be between 2 and {bound}")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    ns = range(2, args.max_n + 1)
-    if jobs > 1 and len(ns) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
-            reports = list(pool.map(partial(verify_extremal, bound=bound), ns))
-    else:
-        reports = [verify_extremal(n, bound=bound) for n in ns]
-
     all_ok = True
-    for r in sorted(reports, key=lambda r: r.n):
-        ok = (
-            r.max_unique_and_is_echelon
-            and r.min_unique_and_is_caterpillar
-            and r.subtree_maximality_holds
-        )
-        all_ok = all_ok and ok
+    for n in range(2, args.max_n + 1):
+        r = verify_extremal(n, bound=bound)
         print(
             f"n={r.n} shapes={r.shape_count} max={_fmt(r.max_value)} "
             f"echelon_max={_flag(r.max_unique_and_is_echelon)} "
             f"caterpillar_min={_flag(r.min_unique_and_is_caterpillar)} "
             f"subtree_max={_flag(r.subtree_maximality_holds)}"
         )
+        all_ok = all_ok and (
+            r.max_unique_and_is_echelon
+            and r.min_unique_and_is_caterpillar
+            and r.subtree_maximality_holds
+        )
+        for name, value in _formula_values(n).items():
+            if value != r.max_value:
+                print(
+                    f"error: n={n}: the {name} formula gives {value}, "
+                    f"enumeration gives {r.max_value}",
+                    file=sys.stderr,
+                )
+                all_ok = False
     if all_ok:
         print(f"verified: all checks passed for n=2..{args.max_n}")
         return 0
@@ -187,8 +178,7 @@ def cmd_table(args) -> int:
         if value != max_value_closed(n):
             print(f"error: recursive and closed formulas disagree at n={n}", file=sys.stderr)
             return 1
-        row = TableRow(n, str(value), decimal_string(value, args.precision))
-        print(sep.join((str(row.n), row.value_exact, row.value_decimal)))
+        print(sep.join((str(n), str(value), decimal_string(value, args.precision))))
     return 0
 
 
@@ -234,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force extremal verification per leaf count")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: all cores)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="maximum-value table over a range of leaf counts")
@@ -258,10 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NewickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # NewickError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,27 +1,30 @@
 """Maximum stairs2 values and brute-force extremal verification.
 
-Three independent routes to the maximum index over all n-leaf shapes:
+Three routes to the maximum index over all n-leaf shapes:
 
 * ``max_value_recursive``: peel off the largest power-of-two block,
 * ``max_value_closed``: closed form over the binary expansion of n,
 * ``max_value_even_recursion``: shortcut relating even n to n/2.
 
-They must agree exactly everywhere; the test suite holds them to that.
+The first two are independent of each other.  The third is not: it takes
+the half-size value from ``max_value_recursive``, so it checks the
+doubling step rather than the whole recursion.  They must agree exactly
+everywhere; the test suite holds them to that.
 
 ``verify_extremal`` is the ground truth at small n: it scores every shape
-by the direct index and reports whether the maximizer is unique and is the
-echelon tree, whether the minimizer is unique and is the caterpillar, and
-whether both root subtrees of every maximizer attain the maximum for their
-own sizes.
+exactly and reports whether the maximizer is unique and is the echelon
+tree, whether the minimizer is unique and is the caterpillar, and whether
+both root subtrees of every maximizer attain the maximum for their own
+sizes.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import caterpillar, echelon
 from .shapes import DEFAULT_ENUM_BOUND, enumerate_shapes
-from .stairs2 import stairs2_direct
-from .tree import CanonicalCode, Tree, canonical, decompose
+from .tree import CanonicalCode, Tree, canonical
 
 _ZERO = Fraction(0)
 
@@ -113,22 +116,50 @@ class ExtremalReport:
     subtree_maximality_holds: bool
 
 
+def _node_sum(t: Tree, scale: int, memo: "dict[int, int]") -> int:
+    """``scale`` times the sum of min/max child leaf-count ratios over t's nodes.
+
+    A tree with m >= 2 leaves has index ``_node_sum(t, ...) / (scale * (m - 1))``,
+    and every term is an exact integer when ``scale`` is a multiple of every
+    leaf count below t, such as ``lcm(1..m-1)``.  ``memo`` maps the id of each
+    node strictly below t to its own sum, so shapes that share subtrees, as
+    enumerated shapes do, sum each shared node once; t itself is not stored.
+    Ids are keys only while their nodes live, so one memo must serve only
+    trees that outlive it.
+    """
+    if t.left is None:
+        return 0
+    na, nb = t.left.leaf_count, t.right.leaf_count
+    total = scale * min(na, nb) // max(na, nb)
+    for child in (t.left, t.right):
+        s = memo.get(id(child))
+        if s is None:
+            # Recursion depth is at most the leaf count, kept small by the
+            # enumeration bound.
+            s = memo[id(child)] = _node_sum(child, scale, memo)
+        total += s
+    return total
+
+
 def verify_extremal(n: int, bound: int = DEFAULT_ENUM_BOUND) -> ExtremalReport:
     """Score every n-leaf shape exactly and summarize the extremes.
 
-    Uniqueness is decided by exact rational equality; there is no epsilon
+    Every score is an integer, the index times ``lcm(1..n-1) * (n - 1)``, so
+    uniqueness is decided by exact integer equality; there is no epsilon
     anywhere.  Raises ValueError for n < 2 and LimitError above ``bound``.
     """
     if n < 2:
         raise ValueError("extremal verification needs at least two leaves")
+    scale = math.lcm(*range(1, n))
+    memo: dict[int, int] = {}
     shape_count = 0
-    best: Fraction | None = None
-    worst: Fraction | None = None
+    best: int | None = None
+    worst: int | None = None
     max_trees: list[Tree] = []
     min_trees: list[Tree] = []
     for shape in enumerate_shapes(n, bound):
         shape_count += 1
-        value = stairs2_direct(shape)
+        value = _node_sum(shape, scale, memo)
         if best is None or value > best:
             best, max_trees = value, [shape]
         elif value == best:
@@ -138,19 +169,21 @@ def verify_extremal(n: int, bound: int = DEFAULT_ENUM_BOUND) -> ExtremalReport:
         elif value == worst:
             min_trees.append(shape)
 
-    subtree_ok = True
-    for tree in max_trees:
-        for part in decompose(tree):
-            if stairs2_direct(part) != max_value_recursive(part.leaf_count):
-                subtree_ok = False
+    # Cross-multiplied, so a single leaf (m = 1, value 0) needs no special case.
+    subtree_ok = all(
+        _node_sum(part, scale, memo)
+        == max_value_recursive(part.leaf_count) * scale * (part.leaf_count - 1)
+        for tree in max_trees
+        for part in (tree.left, tree.right)
+    )
 
     max_codes = tuple(sorted(canonical(t) for t in max_trees))
     min_codes = tuple(sorted(canonical(t) for t in min_trees))
     return ExtremalReport(
         n=n,
         shape_count=shape_count,
-        max_value=best,
-        min_value=worst,
+        max_value=Fraction(best, scale * (n - 1)),
+        min_value=Fraction(worst, scale * (n - 1)),
         max_witnesses=max_codes,
         min_witnesses=min_codes,
         max_unique_and_is_echelon=(

@@ -21,7 +21,7 @@ an internal cross-check.  All arithmetic is exact rational, never float.
 
 from fractions import Fraction
 
-from .tree import Tree, decompose
+from .tree import Tree
 
 _ZERO = Fraction(0)
 
@@ -67,7 +67,11 @@ def stairs2_recursive(t: Tree) -> Fraction:
         if node.left is None or id(node) in values:
             continue
         if ready:
-            big, small = decompose(node)
+            # Only leaf counts matter: with equal counts the recurrence is
+            # symmetric, so no canonical-code tie-break is needed.
+            big, small = node.left, node.right
+            if big.leaf_count < small.leaf_count:
+                big, small = small, big
             n1, n2 = big.leaf_count, small.leaf_count
             st1 = values.get(id(big), _ZERO)
             st2 = values.get(id(small), _ZERO)

@@ -6,12 +6,14 @@ part of the guarantee.  Each test prints a PASS line (visible with -s) so
 the suite doubles as a human-readable checklist.
 """
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from treebalance.extremal import (
+    _node_sum,
     max_value_closed,
     max_value_even_recursion,
     max_value_recursive,
@@ -70,6 +72,18 @@ def test_maximizer_subtrees_attain_their_own_maxima(extremal_sweep):
     for n, report in reports.items():
         assert report.subtree_maximality_holds, f"n={n}"
     _pass(f"both root subtrees of each maximizer are maximizers, n=2..{SWEEP_MAX_N}")
+
+
+def test_sweep_scores_equal_the_defining_sum():
+    # verify_extremal scores shapes by scaled integer node-sums; this holds
+    # every score it compares to the direct index, the ground truth.
+    shapes_checked = 0
+    for n in range(2, SWEEP_MAX_N + 1):
+        scale, memo = math.lcm(*range(1, n)), {}
+        for shape in enumerate_shapes(n):
+            assert Fraction(_node_sum(shape, scale, memo), scale * (n - 1)) == stairs2_direct(shape)
+            shapes_checked += 1
+    _pass(f"sweep scores equal the defining sum on all {shapes_checked} shapes, n=2..{SWEEP_MAX_N}")
 
 
 def test_three_maximum_formulas_agree_exactly():

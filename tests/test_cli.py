@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from treebalance import cli
 from treebalance.cli import decimal_string, main
 
 
@@ -139,7 +140,7 @@ class TestMaxValue:
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
-        rc, out, _ = run(capsys, ["verify", "--max-n", "8", "--jobs", "1"])
+        rc, out, _ = run(capsys, ["verify", "--max-n", "8"])
         assert rc == 0
         lines = out.splitlines()
         assert len(lines) == 8  # seven per-n lines plus the summary
@@ -149,11 +150,19 @@ class TestVerify:
         )
         assert lines[-1] == "verified: all checks passed for n=2..8"
 
-    def test_parallel_output_matches_serial(self, capsys):
-        rc1, serial, _ = run(capsys, ["verify", "--max-n", "6", "--jobs", "1"])
-        rc2, parallel, _ = run(capsys, ["verify", "--max-n", "6", "--jobs", "2"])
-        assert rc1 == rc2 == 0
-        assert serial == parallel
+    def test_formula_disagreement_fails(self, capsys, monkeypatch):
+        _, good, _ = run(capsys, ["verify", "--max-n", "6"])
+        real = cli.max_value_closed
+        monkeypatch.setattr(cli, "max_value_closed", lambda n: real(n) + (n == 5))
+        rc, out, err = run(capsys, ["verify", "--max-n", "6"])
+        assert rc == 1
+        assert "n=5" in err and "closed" in err
+        assert out.splitlines() == good.splitlines()[:-1]
+
+    def test_jobs_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "4", "--jobs", "1"])
+        assert exc.value.code == 2
 
     def test_below_two_rejected(self, capsys):
         rc, _, _ = run(capsys, ["verify", "--max-n", "1"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treebalance.families import caterpillar, echelon, fully_balanced
+from treebalance.newick import NewickDocument, parse_newick, write_newick
 from treebalance.shapes import enumerate_shapes
 from treebalance.stairs2 import stairs2_direct, stairs2_recursive
 from treebalance.tree import EMPTY, Tree, canonical
@@ -71,6 +72,14 @@ def test_deep_tree_no_recursion_limit():
     value = stairs2_direct(caterpillar(3000))
     assert stairs2_recursive(caterpillar(3000)) == value
     assert 0 < value < Fraction(1, 100)
+
+
+def test_recursive_builds_no_canonical_codes():
+    # The recurrence needs only leaf counts; equal halves need no tie-break.
+    text = write_newick(NewickDocument(fully_balanced(10)))
+    t = parse_newick(text).shape
+    assert stairs2_recursive(t) == 1
+    assert t.left._code is None and t.right._code is None
 
 
 @given(trees)
