@@ -18,7 +18,7 @@ from .extremal import (
 )
 from .families import DEFAULT_HEIGHT_BOUND, caterpillar, echelon, fully_balanced
 from .newick import NewickArityError, NewickDocument, NewickError, parse_newick, write_newick
-from .shapes import DEFAULT_ENUM_BOUND, ShapeCount, count_shapes, enumerate_shapes
+from .shapes import DEFAULT_ENUM_BOUND, count_shapes, enumerate_shapes
 from .stairs2 import stairs2_direct, stairs2_recursive
 from .tree import (
     EMPTY,
@@ -43,7 +43,6 @@ __all__ = [
     "NewickArityError",
     "NewickDocument",
     "NewickError",
-    "ShapeCount",
     "Tree",
     "canonical",
     "caterpillar",

@@ -46,7 +46,17 @@ def decimal_string(value: Fraction, digits: int = 10) -> str:
 
 
 def _fmt(value: Fraction, digits: int = 10) -> str:
-    return f"{value} ({decimal_string(value, digits)})"
+    # An exact value can have more digits than the interpreter's int-to-str
+    # guard allows (Python >= 3.10.7); lift it for this rendering only, so
+    # in-process callers of main() keep their own limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return f"{value} ({decimal_string(value, digits)})"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{value} ({decimal_string(value, digits)})"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _enum_bound() -> int:
@@ -189,7 +199,7 @@ def cmd_enumerate(args) -> int:
         for shape in shapes:
             print(write_newick(NewickDocument(shape)))
         return 0
-    print(count_shapes(args.n).count)
+    print(count_shapes(args.n))
     return 0
 
 

@@ -28,8 +28,8 @@ from .tree import CanonicalCode, Tree, canonical
 
 _ZERO = Fraction(0)
 
-# Values computed so far; filling is idempotent, so racing fills at worst
-# redo work (safe under concurrent use, exact values are deterministic).
+# Values computed so far.  They stay for the life of the process, so the
+# rows of a table reuse each other's remainders instead of whole chains.
 _max_memo: dict[int, Fraction] = {0: _ZERO, 1: _ZERO}
 
 
@@ -41,17 +41,23 @@ def max_value_recursive(n: int) -> Fraction:
         value(n) = ((k - 1) + (n - k - 1) value(n - k) + (n - k)/k) / (n - 1)
 
     with value(0) = value(1) = 0.  When n is a power of two the remainder
-    term vanishes and the value is exactly 1.  Memoized over n.
+    term vanishes and the value is exactly 1.  Memoized over n, and
+    iterative: n may have any number of set bits.
     """
     if n < 0:
         raise ValueError("leaf count must be non-negative")
-    got = _max_memo.get(n)
-    if got is not None:
-        return got
-    k = 1 << (n.bit_length() - 1)
-    rest = n - k
-    value = ((k - 1) + (rest - 1) * max_value_recursive(rest) + Fraction(rest, k)) / (n - 1)
-    _max_memo[n] = value
+    # Peel off top bits down to the first memoized remainder, then fill the
+    # memo back up in the opposite order.
+    pending = []
+    rest = n
+    while rest not in _max_memo:
+        pending.append(rest)
+        rest -= 1 << (rest.bit_length() - 1)
+    value = _max_memo[rest]
+    for m in reversed(pending):
+        k = 1 << (m.bit_length() - 1)
+        value = ((k - 1) + (m - k - 1) * value + Fraction(m - k, k)) / (m - 1)
+        _max_memo[m] = value
     return value
 
 
@@ -126,6 +132,11 @@ def _node_sum(t: Tree, scale: int, memo: "dict[int, int]") -> int:
     enumerated shapes do, sum each shared node once; t itself is not stored.
     Ids are keys only while their nodes live, so one memo must serve only
     trees that outlive it.
+
+    Unlike the other traversals it does not go through ``tree._postorder``:
+    on a 2-vCPU VM that made ``verify --max-n 17`` take 0.42 s instead of
+    0.28-0.30 s, and the memo it needs, which also holds every root, raised
+    the command's peak RSS from 21 MB to 26 MB.
     """
     if t.left is None:
         return 0

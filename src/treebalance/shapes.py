@@ -12,7 +12,6 @@ the two act as independent checks on each other:
 Shape lists for each n are cached; enumeration streams from the cache.
 """
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -59,18 +58,10 @@ def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Tree]:
     yield from _shapes(n)
 
 
-@dataclass(frozen=True)
-class ShapeCount:
-    """Number of distinct n-leaf shapes."""
-
-    n: int
-    count: int
-
-
 _count_cache: dict[int, int] = {1: 1}
 
 
-def count_shapes(n: int) -> ShapeCount:
+def count_shapes(n: int) -> int:
     """Count n-leaf shapes by the pairing recurrence; no trees are built."""
     if n < 1:
         raise ValueError("need at least one leaf")
@@ -81,4 +72,4 @@ def count_shapes(n: int) -> ShapeCount:
             half = known[m // 2]
             total += half * (half + 1) // 2
         known[m] = total
-    return ShapeCount(n, known[n])
+    return known[n]

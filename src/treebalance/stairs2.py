@@ -21,7 +21,7 @@ an internal cross-check.  All arithmetic is exact rational, never float.
 
 from fractions import Fraction
 
-from .tree import Tree
+from .tree import Tree, _postorder
 
 _ZERO = Fraction(0)
 
@@ -36,20 +36,11 @@ def stairs2_direct(t: Tree) -> Fraction:
         return _ZERO
     # sums[id(node)] = sum of min/max leaf-count ratios over node's subtree
     sums: dict[int, Fraction] = {}
-    stack = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.left is None or id(node) in sums:
-            continue
-        if ready:
-            a, b = node.left, node.right
-            na, nb = a.leaf_count, b.leaf_count
-            ratio = Fraction(na, nb) if na <= nb else Fraction(nb, na)
-            sums[id(node)] = sums.get(id(a), _ZERO) + sums.get(id(b), _ZERO) + ratio
-        else:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
+    for node in _postorder(t, lambda v: id(v) in sums):
+        a, b = node.left, node.right
+        na, nb = a.leaf_count, b.leaf_count
+        ratio = Fraction(na, nb) if na <= nb else Fraction(nb, na)
+        sums[id(node)] = sums.get(id(a), _ZERO) + sums.get(id(b), _ZERO) + ratio
     return sums[id(t)] / (t.leaf_count - 1)
 
 
@@ -61,25 +52,14 @@ def stairs2_recursive(t: Tree) -> Fraction:
     if t.leaf_count <= 1:
         return _ZERO
     values: dict[int, Fraction] = {}
-    stack = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.left is None or id(node) in values:
-            continue
-        if ready:
-            # Only leaf counts matter: with equal counts the recurrence is
-            # symmetric, so no canonical-code tie-break is needed.
-            big, small = node.left, node.right
-            if big.leaf_count < small.leaf_count:
-                big, small = small, big
-            n1, n2 = big.leaf_count, small.leaf_count
-            st1 = values.get(id(big), _ZERO)
-            st2 = values.get(id(small), _ZERO)
-            values[id(node)] = ((n1 - 1) * st1 + (n2 - 1) * st2 + Fraction(n2, n1)) / (
-                n1 + n2 - 1
-            )
-        else:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
+    for node in _postorder(t, lambda v: id(v) in values):
+        # Only leaf counts matter: with equal counts the recurrence is
+        # symmetric, so no canonical-code tie-break is needed.
+        big, small = node.left, node.right
+        if big.leaf_count < small.leaf_count:
+            big, small = small, big
+        n1, n2 = big.leaf_count, small.leaf_count
+        st1 = values.get(id(big), _ZERO)
+        st2 = values.get(id(small), _ZERO)
+        values[id(node)] = ((n1 - 1) * st1 + (n2 - 1) * st2 + Fraction(n2, n1)) / (n1 + n2 - 1)
     return values[id(t)]

@@ -10,9 +10,13 @@ but may never appear below an internal node.
 Instances are immutable and may freely share subtree objects (the family
 generators rely on this), so every structural operation here walks each
 distinct node at most once, keyed by identity, instead of recursing over
-the unfolded tree.  All traversals use explicit stacks; arbitrarily deep
-trees such as large caterpillars are safe.
+the unfolded tree.  That walk is written once, in ``_postorder``: an
+explicit stack rather than recursion, so arbitrarily deep trees such as
+large caterpillars are safe.  ``canonical``, ``height`` and the two index
+functions in ``stairs2`` are loops over it.
 """
+
+from typing import Callable, Iterator
 
 #: Canonical codes are strings over "0"/"1"; equal codes mean equal shapes.
 CanonicalCode = str
@@ -44,7 +48,7 @@ class Tree:
             self.leaf_count = left.leaf_count + right.leaf_count
         self.left = left
         self.right = right
-        self._code: str | None = None
+        self._code: str | None = "0" if left is None else None
 
     @property
     def is_leaf(self) -> bool:
@@ -83,6 +87,27 @@ def _new_empty() -> Tree:
 EMPTY = _new_empty()
 
 
+def _postorder(t: Tree, done: "Callable[[Tree], bool]") -> "Iterator[Tree]":
+    """Yield the internal nodes of ``t``, each one after both of its children.
+
+    A node for which ``done(node)`` is true is skipped together with
+    everything below it.  Callers record each yielded node, so that ``done``
+    becomes true for it, before asking for the next one; a subtree shared
+    by several parents is then yielded once.
+    """
+    stack = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node.left is None or done(node):
+            continue
+        if ready:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.append((node.left, False))
+            stack.append((node.right, False))
+
+
 def canonical(t: Tree) -> CanonicalCode:
     """Return the canonical code of ``t``.
 
@@ -93,20 +118,9 @@ def canonical(t: Tree) -> CanonicalCode:
     """
     if t._code is not None:
         return t._code
-    stack = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node._code is not None:
-            continue
-        if node.left is None:
-            node._code = "0"
-        elif ready:
-            first, second = _ordered(node.left, node.right)
-            node._code = "1" + first._code + second._code
-        else:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
+    for node in _postorder(t, lambda v: v._code is not None):
+        first, second = _ordered(node.left, node.right)
+        node._code = "1" + first._code + second._code
     return t._code
 
 
@@ -142,19 +156,8 @@ def height(t: Tree) -> int:
     if t.leaf_count == 0:
         raise ValueError("the empty tree has no height")
     heights: dict[int, int] = {}
-    stack = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.left is None or id(node) in heights:
-            continue
-        if ready:
-            heights[id(node)] = 1 + max(
-                heights.get(id(node.left), 0), heights.get(id(node.right), 0)
-            )
-        else:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
+    for node in _postorder(t, lambda v: id(v) in heights):
+        heights[id(node)] = 1 + max(heights.get(id(node.left), 0), heights.get(id(node.right), 0))
     return heights.get(id(t), 0)
 
 

@@ -110,7 +110,7 @@ def test_direct_and_recursive_index_agree_on_every_small_shape():
         for shape in enumerate_shapes(n):
             assert stairs2_direct(shape) == stairs2_recursive(shape)
             shapes_checked += 1
-    assert shapes_checked == sum(count_shapes(n).count for n in range(1, 13))
+    assert shapes_checked == sum(count_shapes(n) for n in range(1, 13))
     _pass(f"definition and recurrence agree on all {shapes_checked} shapes with n<=12")
 
 
@@ -133,7 +133,7 @@ def test_spot_maxima_confirmed_by_brute_force():
 def test_enumeration_is_complete_and_free_of_duplicates():
     for n in range(1, 15):
         codes = [canonical(shape) for shape in enumerate_shapes(n)]
-        assert len(codes) == count_shapes(n).count, f"n={n}"
+        assert len(codes) == count_shapes(n), f"n={n}"
         assert len(set(codes)) == len(codes), f"n={n}"
     _pass("enumeration matches the counting recurrence with distinct codes, n=1..14")
 

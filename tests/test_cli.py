@@ -1,10 +1,14 @@
 import io
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from treebalance import cli
 from treebalance.cli import decimal_string, main
+from treebalance.families import caterpillar
+from treebalance.newick import NewickDocument, write_newick
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -67,6 +71,26 @@ class TestCompute:
         assert rc == 0
         assert out == "1 (1.000000000)\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_exact_value_longer_than_the_int_str_limit(self, capsys, tmp_path):
+        n = 12000
+        path = tmp_path / "caterpillar.nwk"
+        path.write_text(write_newick(NewickDocument(caterpillar(n))), encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        rc, out, _ = run(capsys, ["compute", str(path)])
+        assert rc == 0
+        assert sys.get_int_max_str_digits() == limit
+        # The index of a caterpillar is H(n-1) / (n-1).
+        scale = math.lcm(*range(1, n))
+        expected = Fraction(sum(scale // k for k in range(1, n)), scale * (n - 1))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{expected} ({decimal_string(expected)})\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_multifurcation_exits_two(self, capsys, monkeypatch):
         rc, _, err = run(capsys, ["compute", "-"], "(A,B,C);", monkeypatch)
         assert rc == 2
@@ -118,6 +142,14 @@ class TestMaxValue:
             "closed: 9/10 (0.9000000000)",
             "even: 9/10 (0.9000000000)",
         ]
+
+    def test_all_methods_for_many_set_bits(self, capsys):
+        n = sum(1 << (2 * i) for i in range(1100))
+        rc, out, _ = run(capsys, ["max-value", "--n", str(n), "--method", "all"])
+        assert rc == 0
+        recursive, closed = out.splitlines()
+        assert recursive.startswith("recursive: ") and closed.startswith("closed: ")
+        assert recursive.split(": ")[1] == closed.split(": ")[1]
 
     def test_default_method_is_recursive(self, capsys):
         rc, out, _ = run(capsys, ["max-value", "--n", "1024"])

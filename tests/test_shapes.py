@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 
 from treebalance.families import caterpillar, echelon, fully_balanced
-from treebalance.shapes import ShapeCount, count_shapes, enumerate_shapes
+from treebalance.shapes import count_shapes, enumerate_shapes
 from treebalance.tree import LimitError, canonical
 
 # Frozen from an independent brute-force enumeration (n <= 14); n = 18 from
@@ -13,7 +13,7 @@ KNOWN_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 46, 98, 207, 451, 983, 2179]
 
 @pytest.mark.parametrize("n,expected", list(enumerate(KNOWN_COUNTS, start=1)) + [(18, 56011)])
 def test_known_counts(n, expected):
-    assert count_shapes(n) == ShapeCount(n, expected)
+    assert count_shapes(n) == expected
 
 
 def test_count_rejects_nonpositive():
@@ -34,7 +34,7 @@ def test_four_leaf_shapes():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_complete_and_distinct(n):
     codes = [canonical(t) for t in enumerate_shapes(n)]
-    assert len(codes) == count_shapes(n).count
+    assert len(codes) == count_shapes(n)
     assert len(set(codes)) == len(codes)
 
 

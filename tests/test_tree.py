@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from treebalance.tree import (
     EMPTY,
     Tree,
+    _postorder,
     canonical,
     decompose,
     height,
@@ -120,6 +121,25 @@ class TestHeight:
 
     def test_deep_tree_no_recursion_limit(self):
         assert height(caterpillar(5000)) == 4999
+
+
+class TestPostorder:
+    def test_shared_node_under_two_parents_is_yielded_once(self):
+        s = cherry()
+        a, b = Tree(s, Tree()), Tree(s, Tree())
+        r = Tree(a, b)
+        # Identities, not trees: a and b are the same shape, so they compare equal.
+        order = []
+        for node in _postorder(r, lambda v: id(v) in order):
+            assert all(c.left is None or id(c) in order for c in (node.left, node.right))
+            order.append(id(node))
+        assert sorted(order) == sorted(map(id, (r, a, b, s)))
+
+    def test_deep_caterpillar_needs_no_recursion(self):
+        seen = set()
+        for node in _postorder(caterpillar(10**5), lambda v: id(v) in seen):
+            seen.add(id(node))
+        assert len(seen) == 10**5 - 1
 
 
 class TestCanonical:
