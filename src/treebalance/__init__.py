@@ -21,7 +21,6 @@ from .newick import NewickArityError, NewickDocument, NewickError, parse_newick,
 from .shapes import DEFAULT_ENUM_BOUND, count_shapes, enumerate_shapes
 from .stairs2 import stairs2_direct, stairs2_recursive
 from .tree import (
-    EMPTY,
     CanonicalCode,
     LimitError,
     Tree,
@@ -37,7 +36,6 @@ __all__ = [
     "CanonicalCode",
     "DEFAULT_ENUM_BOUND",
     "DEFAULT_HEIGHT_BOUND",
-    "EMPTY",
     "ExtremalReport",
     "LimitError",
     "NewickArityError",

@@ -25,6 +25,8 @@ from .stairs2 import stairs2_direct, stairs2_recursive
 from .tree import canonical
 
 TABLE_RANGE_CAP = 10**6
+#: Most leaves ``generate`` writes; the unfolded output costs memory per leaf.
+GENERATE_LEAF_CAP = 2**22
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:
@@ -76,6 +78,16 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
+def _print_agreeing(values: "dict[str, Fraction]", message: str) -> int:
+    """Print every named value; exit code 1 with ``message`` unless all agree."""
+    for name, value in values.items():
+        print(f"{name}: {_fmt(value)}")
+    if len(set(values.values())) != 1:
+        print(f"error: {message}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_compute(args) -> int:
     doc = parse_newick(_read_input(args.input))
     methods = {"direct": stairs2_direct, "recursive": stairs2_recursive}
@@ -83,24 +95,21 @@ def cmd_compute(args) -> int:
         print(_fmt(methods[args.method](doc.shape)))
         return 0
     values = {name: fn(doc.shape) for name, fn in methods.items()}
-    for name, value in values.items():
-        print(f"{name}: {_fmt(value)}")
-    if values["direct"] != values["recursive"]:
-        print("error: direct and recursive values disagree", file=sys.stderr)
-        return 1
-    return 0
+    return _print_agreeing(values, "direct and recursive values disagree")
 
 
 def cmd_generate(args) -> int:
     if args.shape == "fb":
         if args.h is None:
             raise ValueError("--shape fb requires --h")
+        if args.h > GENERATE_LEAF_CAP.bit_length() - 1:
+            raise ValueError(f"2**{args.h} leaves is over the bound of {GENERATE_LEAF_CAP}")
         tree = fully_balanced(args.h)
     else:
         if args.n is None:
             raise ValueError(f"--shape {args.shape} requires --n")
-        if args.n < 1:
-            raise ValueError("need at least one leaf (the empty tree has no Newick form)")
+        if args.n > GENERATE_LEAF_CAP:
+            raise ValueError(f"{args.n} leaves is over the bound of {GENERATE_LEAF_CAP}")
         tree = echelon(args.n) if args.shape == "echelon" else caterpillar(args.n)
     print(write_newick(NewickDocument(tree)))
     return 0
@@ -130,13 +139,7 @@ def cmd_max_value(args) -> int:
     if args.method != "all":
         print(_fmt(_formulas()[args.method](args.n)))
         return 0
-    values = _formula_values(args.n)
-    for name, value in values.items():
-        print(f"{name}: {_fmt(value)}")
-    if len(set(values.values())) != 1:
-        print("error: the formulas disagree", file=sys.stderr)
-        return 1
-    return 0
+    return _print_agreeing(_formula_values(args.n), "the formulas disagree")
 
 
 def _flag(ok: bool) -> str:

@@ -4,14 +4,16 @@
 ``echelon(n)`` pairs the largest admissible power-of-two balanced block
 with the echelon tree on the remainder; it is the unique shape with
 maximum stairs2 index for its leaf count.  ``caterpillar(n)`` hangs a leaf
-off every internal node; it is the unique minimizer.
+off every internal node; it is the unique minimizer.  Every tree has at
+least one leaf, so ``echelon`` and ``caterpillar`` reject n < 1.
 
 All generators alias repeated subtree objects (trees are immutable, so
 sharing is safe and keeps fully balanced trees at O(h) memory instead of
-O(2**h)).  Traversals elsewhere in the package are written for that.
+O(2**h), and an echelon tree at O(log n)).  Traversals elsewhere in the
+package are written for that.
 """
 
-from .tree import EMPTY, LimitError, Tree
+from .tree import LimitError, Tree
 
 #: Default cap on fully balanced tree height; guards against runaway sizes
 #: in downstream operations that scale with the unfolded tree.
@@ -31,31 +33,27 @@ def fully_balanced(h: int, max_height: int = DEFAULT_HEIGHT_BOUND) -> Tree:
 
 
 def echelon(n: int) -> Tree:
-    """The echelon tree on n leaves.
+    """The echelon tree on n >= 1 leaves.
 
     For n >= 2 the larger root subtree is fully balanced on k leaves,
     where k is the unique power of two with n/2 <= k < n, and the smaller
-    is the echelon tree on n - k leaves.  k is the top bit of n except
-    when n is itself a power of two, where the strict upper bound forces
-    k = n/2.  Returns EMPTY for n = 0 and a leaf for n = 1.
+    is the echelon tree on n - k leaves.  Unrolled, that is one fully
+    balanced block per set bit of n, each paired with the blocks of the
+    lower bits; when n is a power of two its single block is the whole
+    tree.  The blocks are cut from one doubling chain, so the tree has
+    fewer than 2 * n.bit_length() distinct nodes.
     """
-    if n < 0:
-        raise ValueError("leaf count must be non-negative")
-    if n == 0:
-        return EMPTY
-    blocks = []
-    while n >= 2:
-        k = 1 << (n.bit_length() - 1)
-        if k == n:
-            k //= 2
-        # Internal blocks bypass the public height guard: sharing keeps
-        # them at O(log k) nodes regardless of k.
-        blocks.append(fully_balanced(k.bit_length() - 1, max_height=k.bit_length()))
-        n -= k
-    t = Tree()
-    for block in reversed(blocks):
-        t = Tree(block, t)
-    return t
+    if n < 1:
+        raise ValueError("echelon needs at least one leaf")
+    t = None
+    block = Tree()
+    while True:
+        if n & 1:
+            t = block if t is None else Tree(block, t)
+        n >>= 1
+        if not n:
+            return t
+        block = Tree(block, block)
 
 
 def caterpillar(n: int) -> Tree:

@@ -7,22 +7,33 @@ Grammar (whitespace between tokens, including newlines, is ignored):
     leaf    := label?
     label   := unquoted-name (':' branch-length)?
 
-Branch lengths and internal labels are parsed and discarded.  Quoted
-labels and comments are not supported.  A node with one child or three or
-more children raises :class:`NewickArityError` at the offset of its
-opening parenthesis; malformed input raises :class:`NewickError` with the
-offending offset.  Exactly one statement per input: anything other than
-whitespace after the ';' is an error.
+An unquoted name is any run of characters other than whitespace,
+``(),;:`` and U+FEFF.  A branch length is an ASCII decimal number such as
+``1``, ``-0.5``, ``.5`` or ``1e-3``; ``nan``, ``inf``, ``1_0`` and
+non-ASCII digits are rejected.  Branch lengths and internal labels are
+parsed and discarded.  Quoted labels and comments are not supported.  One
+leading byte-order mark (U+FEFF) is skipped; error offsets still index the
+original text.  A node with one child or three or more children raises
+:class:`NewickArityError` at the offset of its opening parenthesis;
+malformed input raises :class:`NewickError` with the offending offset.
+Exactly one statement per input: anything other than whitespace after the
+';' is an error.
 
 The parser and writer are both iterative, so arbitrarily deep trees are
-handled without recursion limits.
+handled without recursion limits.  The writer emits only what the parser
+reads back: ``NewickDocument`` rejects any label that is not an unquoted
+name.
 """
 
+import re
 from dataclasses import dataclass
 
-from .tree import Tree, _ordered
+from .tree import Tree, decompose
 
-_STRUCTURAL = frozenset("();,:")
+# An unquoted name, shared by the parser's scanner and the label check;
+# ``\s`` matches exactly the characters for which ``str.isspace`` is true.
+_NAME = re.compile(r"[^\s();,:\ufeff]*")
+_BRANCH_LENGTH = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class NewickError(ValueError):
@@ -43,20 +54,25 @@ class NewickDocument:
 
     ``labels``, when present, gives one label per leaf in the shape's
     left-to-right leaf order; labels need not be unique and may be empty
-    strings.  ``labels is None`` means the document carries no labels at
-    all (the writer then synthesizes t1, t2, ...).
+    strings, but each must be an unquoted name (see the module docstring),
+    so that the written document parses back.  ``labels is None`` means the
+    document carries no labels at all (the writer then synthesizes t1, t2,
+    ...); a tuple of empty labels is stored as None.
     """
 
     shape: Tree
     labels: "tuple[str, ...] | None" = None
 
     def __post_init__(self):
-        if self.shape.leaf_count == 0:
-            raise ValueError("the empty tree has no Newick form")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.shape.leaf_count:
-                raise ValueError("need exactly one label per leaf")
+        if self.labels is None:
+            return
+        labels = tuple(self.labels)
+        if len(labels) != self.shape.leaf_count:
+            raise ValueError("need exactly one label per leaf")
+        for label in labels:
+            if not isinstance(label, str) or not _NAME.fullmatch(label):
+                raise ValueError(f"label {label!r} is not an unquoted Newick name")
+        object.__setattr__(self, "labels", labels if any(labels) else None)
 
 
 def parse_newick(text: str) -> NewickDocument:
@@ -75,30 +91,24 @@ def parse_newick(text: str) -> NewickDocument:
         return i
 
     def read_label(i: int) -> "tuple[str, int]":
-        start = i
-        while i < size and s[i] not in _STRUCTURAL and not s[i].isspace():
-            i += 1
-        return s[start:i], i
+        end = _NAME.match(s, i).end()
+        return s[i:end], end
 
     def skip_branch_length(i: int) -> int:
         if i < size and s[i] == ":":
-            i += 1
-            start = i
-            while i < size and s[i] not in _STRUCTURAL and not s[i].isspace():
-                i += 1
-            try:
-                float(s[start:i])
-            except ValueError:
-                raise NewickError("invalid branch length", start) from None
+            start = i + 1
+            i = _NAME.match(s, start).end()
+            if not _BRANCH_LENGTH.fullmatch(s, start, i):
+                raise NewickError("invalid branch length", start)
         return i
 
-    if skip_ws(0) >= size:
+    i = 1 if s.startswith("\ufeff") else 0
+    if skip_ws(i) >= size:
         raise NewickError("empty input", 0)
 
     # Open internal nodes: (collected children, offset of their '(').
     stack: "list[tuple[list[Tree], int]]" = []
     labels: list[str] = []
-    i = 0
     while True:
         i = skip_ws(i)
         if i < size and s[i] == "(":
@@ -123,8 +133,6 @@ def parse_newick(text: str) -> NewickDocument:
                 i = skip_ws(i + 1)
                 if i < size:
                     raise NewickError("unexpected content after ';'", i)
-                if all(lab == "" for lab in labels):
-                    return NewickDocument(node, None)
                 return NewickDocument(node, tuple(labels))
             children, open_at = stack[-1]
             children.append(node)
@@ -172,12 +180,11 @@ def write_newick(doc: NewickDocument) -> str:
             else:
                 out.append(labels[offset])
             continue
-        a, b = node.left, node.right
-        first, second = _ordered(a, b)
-        if first is a:
-            first_off, second_off = offset, offset + a.leaf_count
+        first, second = decompose(node)
+        if first is node.left:
+            first_off, second_off = offset, offset + first.leaf_count
         else:
-            first_off, second_off = offset + a.leaf_count, offset
+            first_off, second_off = offset + second.leaf_count, offset
         stack.append(")")
         stack.append((second, second_off))
         stack.append(",")

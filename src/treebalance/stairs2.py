@@ -4,9 +4,9 @@ For a tree T with n >= 2 leaves the index is
 
     st(T) = (1 / (n - 1)) * sum over internal nodes v of min(nL, nR) / max(nL, nR)
 
-where nL and nR are the leaf counts of v's two child subtrees; trees with
-at most one leaf (including the empty tree) score 0.  The index lies in
-(0, 1] and equals 1 exactly for fully balanced trees.
+where nL and nR are the leaf counts of v's two child subtrees; a lone
+leaf scores 0.  The index lies in (0, 1] and equals 1 exactly for fully
+balanced trees.
 
 ``stairs2_direct`` evaluates the defining sum in a single post-order pass.
 ``stairs2_recursive`` instead applies the equivalent root-decomposition
@@ -14,9 +14,9 @@ rule, with T = (T1, T2), n1 >= n2:
 
     st(T) = ((n1 - 1) st(T1) + (n2 - 1) st(T2) + n2/n1) / (n1 + n2 - 1)
 
-which also holds when T2 is the empty tree (its term vanishes).  The two
-functions agree exactly on every input; keeping both gives the test suite
-an internal cross-check.  All arithmetic is exact rational, never float.
+The two functions agree exactly on every input; keeping both gives the
+test suite an internal cross-check.  All arithmetic is exact rational,
+never float.
 """
 
 from fractions import Fraction
@@ -32,7 +32,7 @@ def stairs2_direct(t: Tree) -> Fraction:
     One post-order traversal, O(n) exact rational operations on a plain
     tree; shared subtrees are evaluated once and their sums reused.
     """
-    if t.leaf_count <= 1:
+    if t.is_leaf:
         return _ZERO
     # sums[id(node)] = sum of min/max leaf-count ratios over node's subtree
     sums: dict[int, Fraction] = {}
@@ -49,7 +49,7 @@ def stairs2_recursive(t: Tree) -> Fraction:
 
     Returns the same exact value as :func:`stairs2_direct` on every tree.
     """
-    if t.leaf_count <= 1:
+    if t.is_leaf:
         return _ZERO
     values: dict[int, Fraction] = {}
     for node in _postorder(t, lambda v: id(v) in values):

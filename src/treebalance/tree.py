@@ -1,11 +1,9 @@
 """Rooted binary tree shapes and exact structural queries.
 
 A tree is either a single leaf or an internal node with exactly two
-non-empty children.  Shapes carry no labels and children are unordered:
-two trees count as the same shape when one becomes the other by swapping
-children at any set of nodes.  The module-level ``EMPTY`` value stands for
-the tree on zero leaves; it is a first-class input to the index functions
-but may never appear below an internal node.
+children, so every tree has at least one leaf.  Shapes carry no labels and
+children are unordered: two trees count as the same shape when one becomes
+the other by swapping children at any set of nodes.
 
 Instances are immutable and may freely share subtree objects (the family
 generators rely on this), so every structural operation here walks each
@@ -40,23 +38,14 @@ class Tree:
     def __init__(self, left: "Tree | None" = None, right: "Tree | None" = None):
         if (left is None) != (right is None):
             raise ValueError("an internal node needs exactly two children")
-        if left is None:
-            self.leaf_count = 1
-        else:
-            if left.leaf_count == 0 or right.leaf_count == 0:
-                raise ValueError("the empty tree cannot be a child of an internal node")
-            self.leaf_count = left.leaf_count + right.leaf_count
+        self.leaf_count = 1 if left is None else left.leaf_count + right.leaf_count
         self.left = left
         self.right = right
         self._code: str | None = "0" if left is None else None
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None and self.leaf_count == 1
-
-    @property
-    def is_empty(self) -> bool:
-        return self.leaf_count == 0
+        return self.left is None
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -67,24 +56,7 @@ class Tree:
         return hash(canonical(self))
 
     def __repr__(self):
-        if self.leaf_count == 0:
-            return "<empty Tree>"
         return f"<Tree with {self.leaf_count} leaves>"
-
-
-def _new_empty() -> Tree:
-    # Bypasses __init__ so that the ordinary constructor can keep rejecting
-    # half-formed nodes; this is the only place a zero-leaf Tree is made.
-    t = Tree.__new__(Tree)
-    t.left = None
-    t.right = None
-    t.leaf_count = 0
-    t._code = ""
-    return t
-
-
-#: The tree on zero leaves.
-EMPTY = _new_empty()
 
 
 def _postorder(t: Tree, done: "Callable[[Tree], bool]") -> "Iterator[Tree]":
@@ -113,23 +85,29 @@ def canonical(t: Tree) -> CanonicalCode:
 
     A leaf codes as ``"0"`` and an internal node as ``"1"`` followed by the
     codes of its children ordered by the canonical sort key (leaf count
-    descending, then code lexicographic).  The empty tree codes as ``""``.
-    The code is cached on each node, computed at most once per object.
+    descending, then code lexicographic), which is the order ``decompose``
+    returns.  The code is cached on each node, computed at most once per
+    object.
     """
     if t._code is not None:
         return t._code
     for node in _postorder(t, lambda v: v._code is not None):
-        first, second = _ordered(node.left, node.right)
+        first, second = decompose(node)
         node._code = "1" + first._code + second._code
     return t._code
 
 
-def _ordered(a: Tree, b: Tree) -> "tuple[Tree, Tree]":
-    """Order two siblings by the canonical sort key.
+def decompose(t: Tree) -> "tuple[Tree, Tree]":
+    """Split ``t`` into its two maximal pending subtrees, larger one first.
 
-    Larger leaf count first; equal counts fall back to lexicographic code
-    order.  The identity fast path avoids building codes for aliased pairs.
+    Ties in leaf count are broken by canonical code, so the returned pair
+    is deterministic per shape; this is the sibling order of ``canonical``
+    and of the Newick writer.  The identity fast path avoids building codes
+    for aliased pairs.  Raises ValueError on a leaf.
     """
+    a, b = t.left, t.right
+    if a is None:
+        raise ValueError("decompose needs an internal node (at least two leaves)")
     if a is b:
         return a, b
     if a.leaf_count != b.leaf_count:
@@ -137,24 +115,8 @@ def _ordered(a: Tree, b: Tree) -> "tuple[Tree, Tree]":
     return (a, b) if canonical(a) <= canonical(b) else (b, a)
 
 
-def decompose(t: Tree) -> "tuple[Tree, Tree]":
-    """Split ``t`` into its two maximal pending subtrees, larger one first.
-
-    Ties in leaf count are broken by canonical code, so the returned pair
-    is deterministic per shape.  Raises ValueError on a leaf or on EMPTY.
-    """
-    if t.leaf_count < 2:
-        raise ValueError("decompose needs an internal node (at least two leaves)")
-    return _ordered(t.left, t.right)
-
-
 def height(t: Tree) -> int:
-    """Edge count from the root to its deepest leaf.
-
-    Raises ValueError on the empty tree; a lone leaf has height 0.
-    """
-    if t.leaf_count == 0:
-        raise ValueError("the empty tree has no height")
+    """Edge count from the root to its deepest leaf; a lone leaf has height 0."""
     heights: dict[int, int] = {}
     for node in _postorder(t, lambda v: id(v) in heights):
         heights[id(node)] = 1 + max(heights.get(id(node.left), 0), heights.get(id(node.right), 0))

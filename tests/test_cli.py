@@ -56,6 +56,13 @@ class TestCompute:
         assert rc == 0
         assert out == "1 (1.000000000)\n"
 
+    def test_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "tree.nwk"
+        path.write_bytes(b"\xef\xbb\xbf((A,B),C);\n")
+        rc, out, _ = run(capsys, ["compute", str(path)])
+        assert rc == 0
+        assert out == "3/4 (0.7500000000)\n"
+
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, ["compute", "/no/such/file"])
         assert rc == 2
@@ -65,6 +72,13 @@ class TestCompute:
         rc, out, _ = run(capsys, ["compute", "-", "--method", "both"], "((A,B),C);", monkeypatch)
         assert rc == 0
         assert out == "direct: 3/4 (0.7500000000)\nrecursive: 3/4 (0.7500000000)\n"
+
+    def test_disagreement_prints_both_and_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "stairs2_recursive", lambda t: Fraction(1, 2))
+        rc, out, err = run(capsys, ["compute", "-", "--method", "both"], "((A,B),C);", monkeypatch)
+        assert rc == 1
+        assert out == "direct: 3/4 (0.7500000000)\nrecursive: 1/2 (0.5000000000)\n"
+        assert err == "error: direct and recursive values disagree\n"
 
     def test_recursive_method(self, capsys, monkeypatch):
         rc, out, _ = run(capsys, ["compute", "-", "--method", "recursive"], "(A,B);", monkeypatch)
@@ -127,6 +141,22 @@ class TestGenerate:
         assert rc == 2
         assert "bound" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--shape", "fb", "--h", "23"],
+            ["--shape", "caterpillar", "--n", str(2**22 + 1)],
+            ["--shape", "echelon", "--n", str(10**30)],
+        ],
+    )
+    def test_over_the_leaf_bound_refused_before_building(self, capsys, monkeypatch, argv):
+        for builder in ("echelon", "caterpillar", "fully_balanced"):
+            monkeypatch.setattr(cli, builder, None)
+        rc, out, err = run(capsys, ["generate", *argv])
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "bound" in err
+
 
 class TestMaxValue:
     def test_all_methods_for_five(self, capsys):
@@ -150,6 +180,13 @@ class TestMaxValue:
         recursive, closed = out.splitlines()
         assert recursive.startswith("recursive: ") and closed.startswith("closed: ")
         assert recursive.split(": ")[1] == closed.split(": ")[1]
+
+    def test_disagreement_prints_all_and_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "max_value_closed", lambda n: Fraction(1, 2))
+        rc, out, err = run(capsys, ["max-value", "--n", "5", "--method", "all"])
+        assert rc == 1
+        assert out == "recursive: 13/16 (0.8125000000)\nclosed: 1/2 (0.5000000000)\n"
+        assert err == "error: the formulas disagree\n"
 
     def test_default_method_is_recursive(self, capsys):
         rc, out, _ = run(capsys, ["max-value", "--n", "1024"])

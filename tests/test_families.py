@@ -1,7 +1,7 @@
 import pytest
 
 from treebalance.families import caterpillar, echelon, fully_balanced
-from treebalance.tree import EMPTY, LimitError, Tree, canonical, decompose, height, is_isomorphic
+from treebalance.tree import LimitError, Tree, canonical, decompose, height, is_isomorphic
 
 
 def leaf_depths(t):
@@ -15,6 +15,29 @@ def leaf_depths(t):
             stack.append((node.left, d + 1))
             stack.append((node.right, d + 1))
     return depths
+
+
+def distinct_internal_nodes(t):
+    """Number of internal node objects reachable from ``t``, by identity."""
+    seen = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.left is not None and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend((node.left, node.right))
+    return len(seen)
+
+
+def echelon_by_definition(n):
+    """The fully balanced block on the power of two k, n/2 <= k < n, with
+    the echelon tree on n - k leaves, built by plain recursion."""
+    if n == 1:
+        return Tree()
+    k = 1 << (n.bit_length() - 1)
+    if k == n:
+        k //= 2
+    return Tree(fully_balanced(k.bit_length() - 1), echelon_by_definition(n - k))
 
 
 def cherry_expanded(t):
@@ -58,8 +81,9 @@ class TestFullyBalanced:
 
 
 class TestEchelon:
-    def test_zero_is_empty(self):
-        assert echelon(0) is EMPTY
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            echelon(0)
 
     def test_one_is_leaf(self):
         assert echelon(1).is_leaf
@@ -93,6 +117,16 @@ class TestEchelon:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             echelon(-1)
+
+    @pytest.mark.parametrize("n", [2**20, 2**20 - 1, 2**40 - 1, 10**12])
+    def test_distinct_internal_nodes_are_logarithmic(self, n):
+        t = echelon(n)
+        assert t.leaf_count == n
+        assert distinct_internal_nodes(t) <= 2 * n.bit_length()
+
+    def test_matches_the_recursive_definition(self):
+        for n in range(1, 3000):
+            assert canonical(echelon(n)) == canonical(echelon_by_definition(n)), n
 
 
 class TestCaterpillar:

@@ -10,9 +10,14 @@ from treebalance.newick import (
     write_newick,
 )
 from treebalance.shapes import enumerate_shapes
-from treebalance.tree import EMPTY, Tree, is_isomorphic
+from treebalance.tree import Tree, is_isomorphic
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=24)
+# Mostly readable characters, so that many documents get past construction.
+label_text = st.text(
+    alphabet=st.one_of(st.sampled_from("Ab1_.-'[] \t\n\u00a0(),;:\ufeff"), st.characters()),
+    max_size=4,
+)
 
 
 class TestParse:
@@ -57,6 +62,10 @@ class TestParse:
     def test_duplicate_labels_allowed(self):
         assert parse_newick("(A,A);").labels == ("A", "A")
 
+    @pytest.mark.parametrize("length", ["1", "1.", ".5", "-0.5", "+2", "1e-3", "2.5E+10"])
+    def test_decimal_branch_lengths_parse(self, length):
+        assert parse_newick(f"(A:{length},B);").labels == ("A", "B")
+
     def test_shape_follows_parenthesization(self):
         doc = parse_newick("(((A,B),C),D);")
         assert is_isomorphic(doc.shape, caterpillar(4))
@@ -88,6 +97,12 @@ class TestParseErrors:
             ("(A,B); x", 7),
             ("(A,B);(C,D);", 6),
             ("(A:x,B);", 3),
+            ("(A:nan,B);", 3),
+            ("(A:inf,B);", 3),
+            ("(A:1_0,B);", 3),
+            ("(A:\u0661,B);", 3),
+            ("\ufeff(A,B)", 6),
+            ("\ufeff\ufeff(A,B);", 1),
             ("A,B;", 1),
         ],
     )
@@ -126,9 +141,17 @@ class TestWrite:
         doc = NewickDocument(Tree(Tree(), Tree()), ["x", "y"])
         assert doc.labels == ("x", "y")
 
-    def test_empty_shape_rejected(self):
+    @pytest.mark.parametrize(
+        "label", ["a b", "a\tb", "x\u00a0", "a,b", "(", ")", ";", "a:1", "\ufeffa", 3, None]
+    )
+    def test_unreadable_label_rejected(self, label):
         with pytest.raises(ValueError):
-            NewickDocument(EMPTY)
+            NewickDocument(Tree(Tree(), Tree()), (label, "c"))
+
+    def test_all_empty_labels_mean_no_labels(self):
+        doc = NewickDocument(Tree(Tree(), Tree()), ("", ""))
+        assert doc.labels is None
+        assert write_newick(doc) == "(t1,t2);"
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
@@ -150,6 +173,18 @@ class TestRoundTrip:
         for shape in enumerate_shapes(n):
             parsed = parse_newick(write_newick(NewickDocument(shape)))
             assert is_isomorphic(parsed.shape, shape)
+
+    @given(trees, st.lists(label_text, min_size=1, max_size=24))
+    def test_written_labels_read_back(self, t, pool):
+        labels = [pool[i % len(pool)] for i in range(t.leaf_count)]
+        try:
+            doc = NewickDocument(t, labels)
+        except ValueError:
+            return
+        w = write_newick(doc)
+        again = parse_newick(w)
+        assert is_isomorphic(again.shape, t)
+        assert write_newick(again) == w
 
     def test_labels_survive(self):
         doc = parse_newick("((alpha,beta),gamma);")

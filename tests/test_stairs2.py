@@ -7,7 +7,7 @@ from treebalance.families import caterpillar, echelon, fully_balanced
 from treebalance.newick import NewickDocument, parse_newick, write_newick
 from treebalance.shapes import enumerate_shapes
 from treebalance.stairs2 import stairs2_direct, stairs2_recursive
-from treebalance.tree import EMPTY, Tree, canonical
+from treebalance.tree import Tree, canonical
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=40)
 
@@ -28,9 +28,6 @@ ECHELON_VALUES = {
 
 @pytest.mark.parametrize("fn", [stairs2_direct, stairs2_recursive])
 class TestSmallCases:
-    def test_empty_is_zero(self, fn):
-        assert fn(EMPTY) == 0
-
     def test_leaf_is_zero(self, fn):
         assert fn(Tree()) == 0
 

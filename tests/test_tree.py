@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treebalance.tree import (
-    EMPTY,
     Tree,
     _postorder,
     canonical,
@@ -47,7 +46,7 @@ class TestConstruction:
     def test_leaf(self):
         leaf = Tree()
         assert leaf.leaf_count == 1
-        assert leaf.is_leaf and not leaf.is_empty
+        assert leaf.is_leaf
 
     def test_internal_counts_are_cached_sums(self):
         t = Tree(cherry(), Tree())
@@ -60,17 +59,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tree(None, Tree())
 
-    def test_empty_child_rejected(self):
-        with pytest.raises(ValueError):
-            Tree(EMPTY, Tree())
-        with pytest.raises(ValueError):
-            Tree(Tree(), EMPTY)
-
-    def test_empty_value(self):
-        assert EMPTY.leaf_count == 0
-        assert EMPTY.is_empty and not EMPTY.is_leaf
-        assert canonical(EMPTY) == ""
-        assert canonical(EMPTY) != canonical(Tree())
 
 
 class TestDecompose:
@@ -93,7 +81,7 @@ class TestDecompose:
         first, second = decompose(t)
         assert (first.leaf_count, second.leaf_count) == (2, 1)
 
-    @pytest.mark.parametrize("bad", [Tree(), EMPTY])
+    @pytest.mark.parametrize("bad", [Tree()])
     def test_rejects_leaf_and_empty(self, bad):
         with pytest.raises(ValueError):
             decompose(bad)
@@ -114,10 +102,6 @@ class TestHeight:
 
     def test_caterpillar_four(self):
         assert height(caterpillar(4)) == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            height(EMPTY)
 
     def test_deep_tree_no_recursion_limit(self):
         assert height(caterpillar(5000)) == 4999
