@@ -4,9 +4,10 @@ The stairs2 index of a binary tree averages, over the internal nodes, the
 ratio of the smaller to the larger child-subtree leaf count.  This package
 computes it in exact rational arithmetic, builds the extremal tree
 families (fully balanced, echelon, caterpillar), evaluates the maximum
-value per leaf count by three independent formulas, verifies extremality
-claims by exhaustive shape enumeration, and reads/writes strictly binary
-Newick.
+value per leaf count by three formulas (the recursive and closed forms are
+independent of each other; the even recursion takes its half-size value
+from the recursive one), verifies extremality claims by exhaustive shape
+enumeration, and reads/writes strictly binary Newick.
 """
 
 from .extremal import (

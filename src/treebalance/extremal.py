@@ -28,24 +28,34 @@ from .tree import CanonicalCode, Tree, canonical
 
 _ZERO = Fraction(0)
 
-# Values computed so far.  They stay for the life of the process, so the
-# rows of a table reuse each other's remainders instead of whole chains.
-_max_memo: dict[int, Fraction] = {0: _ZERO, 1: _ZERO}
+# (n - 1) * 2**floor(log2 n) * value(n) for every n computed so far, as exact
+# integers.  They stay for the life of the process, so the rows of a table
+# reuse each other's remainders instead of whole chains.
+_max_memo: dict[int, int] = {0: 0, 1: 0}
 
 
 def max_value_recursive(n: int) -> Fraction:
     """Maximum index over n-leaf shapes, by power-of-two peeling.
 
-    For n >= 2 with k = 2**floor(log2 n):
+    For n >= 2 with k = 2**floor(log2 n) and r = n - k:
 
-        value(n) = ((k - 1) + (n - k - 1) value(n - k) + (n - k)/k) / (n - 1)
+        value(n) = ((k - 1) + (r - 1) value(r) + r/k) / (n - 1)
 
     with value(0) = value(1) = 0.  When n is a power of two the remainder
-    term vanishes and the value is exactly 1.  Memoized over n, and
-    iterative: n may have any number of set bits.
+    term vanishes and the value is exactly 1.  Scaled by (n - 1) * k, the
+    recurrence runs in integers: with N(m) = (m - 1) * 2**floor(log2 m) *
+    value(m) and k_r = 2**floor(log2 r),
+
+        N(n) = (k - 1) k + r + N(r) * (k / k_r),    N(0) = N(1) = 0,
+
+    where k / k_r is a power of two, so the last term is a shift.  The memo
+    holds N over n, so the only reduction is the returned ``Fraction``.
+    Iterative: n may have any number of set bits.
     """
     if n < 0:
         raise ValueError("leaf count must be non-negative")
+    if n <= 1:
+        return _ZERO
     # Peel off top bits down to the first memoized remainder, then fill the
     # memo back up in the opposite order.
     pending = []
@@ -53,12 +63,14 @@ def max_value_recursive(n: int) -> Fraction:
     while rest not in _max_memo:
         pending.append(rest)
         rest -= 1 << (rest.bit_length() - 1)
-    value = _max_memo[rest]
+    scaled = _max_memo[rest]
     for m in reversed(pending):
-        k = 1 << (m.bit_length() - 1)
-        value = ((k - 1) + (m - k - 1) * value + Fraction(m - k, k)) / (m - 1)
-        _max_memo[m] = value
-    return value
+        top = m.bit_length() - 1
+        # rest is m - k; at rest = 0 the shift is top + 1, harmless on N(0) = 0.
+        scaled = (((1 << top) - 1) << top) + rest + (scaled << (top - rest.bit_length() + 1))
+        _max_memo[m] = scaled
+        rest = m
+    return Fraction(scaled, (n - 1) << (n.bit_length() - 1))
 
 
 def max_value_closed(n: int) -> Fraction:
@@ -69,20 +81,28 @@ def max_value_closed(n: int) -> Fraction:
         (n - 1) * value = sum_i (2**e_i - 1)
                         + sum_{i<L} (2**e1 + ... + 2**e_i) / 2**e_{i+1}
 
-    Evaluated directly, no recursion and no shared state, so it serves as
-    an independent check on :func:`max_value_recursive`.
+    Every denominator divides 2**eL, so the sum times 2**eL is the integer
+
+        (n - L) * 2**eL + sum_{i<L} (2**e1 + ... + 2**e_i) * 2**(eL - e_{i+1})
+
+    and the only reduction is the returned ``Fraction``.  Evaluated
+    directly, no recursion and no shared state, so it serves as an
+    independent check on :func:`max_value_recursive`.
     """
     if n < 0:
         raise ValueError("leaf count must be non-negative")
     if n <= 1:
         return _ZERO
-    powers = [1 << e for e in range(n.bit_length()) if (n >> e) & 1]
-    total = Fraction(sum(p - 1 for p in powers))
-    prefix = 0
-    for small, nxt in zip(powers, powers[1:]):
-        prefix += small
-        total += Fraction(prefix, nxt)
-    return total / (n - 1)
+    top = n.bit_length() - 1
+    total = (n - n.bit_count()) << top
+    prefix = n & -n
+    rest = n ^ prefix
+    while rest:
+        bit = rest & -rest
+        total += prefix << (top + 1 - bit.bit_length())
+        prefix += bit
+        rest ^= bit
+    return Fraction(total, (n - 1) << top)
 
 
 def max_value_even_recursion(n: int) -> Fraction:

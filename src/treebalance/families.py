@@ -15,17 +15,17 @@ package are written for that.
 
 from .tree import LimitError, Tree
 
-#: Default cap on fully balanced tree height; guards against runaway sizes
-#: in downstream operations that scale with the unfolded tree.
+#: Cap on fully balanced tree height; guards against runaway sizes in
+#: downstream operations that scale with the unfolded tree.
 DEFAULT_HEIGHT_BOUND = 30
 
 
-def fully_balanced(h: int, max_height: int = DEFAULT_HEIGHT_BOUND) -> Tree:
+def fully_balanced(h: int) -> Tree:
     """Tree on 2**h leaves with every leaf at depth exactly h."""
     if h < 0:
         raise ValueError("height must be non-negative")
-    if h > max_height:
-        raise LimitError(f"height {h} exceeds the bound {max_height}")
+    if h > DEFAULT_HEIGHT_BOUND:
+        raise LimitError(f"height {h} exceeds the bound {DEFAULT_HEIGHT_BOUND}")
     t = Tree()
     for _ in range(h):
         t = Tree(t, t)

@@ -19,6 +19,16 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return rc, captured.out, captured.err
 
 
+def _all_ones_maximum(m):
+    """Maximum index on n = 2**m - 1 leaves (m >= 2), the closed form summed by hand.
+
+    Every bit is set, so (n - 1) * value = (n - m) + sum_{i<m} (1 - 2**-i)
+    = n - 2 + 2**(1 - m).
+    """
+    n = 2**m - 1
+    return Fraction(((n - 2) << (m - 1)) + 1, (n - 1) << (m - 1))
+
+
 class TestDecimalString:
     def test_default_ten_significant_digits(self):
         assert decimal_string(Fraction(1)) == "1.000000000"
@@ -180,6 +190,31 @@ class TestMaxValue:
         recursive, closed = out.splitlines()
         assert recursive.startswith("recursive: ") and closed.startswith("closed: ")
         assert recursive.split(": ")[1] == closed.split(": ")[1]
+
+    def test_all_methods_at_the_int_parse_ceiling(self, capsys):
+        # 2**14280 - 1 has 4299 digits, about the longest --n Python parses.
+        m = 14280
+        rc, out, _ = run(capsys, ["max-value", "--n", str(2**m - 1), "--method", "all"])
+        assert rc == 0
+        recursive, closed = out.splitlines()
+        assert recursive.startswith("recursive: ") and closed.startswith("closed: ")
+        assert recursive.split(": ")[1] == closed.split(": ")[1]
+        expected = _all_ones_maximum(m)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert closed == f"closed: {expected} ({decimal_string(expected)})"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 10, 64, 500])
+    def test_all_ones_maximum_is_the_closed_form_term_by_term(self, m):
+        # n = 2**m - 1 has bits e_i = i - 1 for i = 1..m, so the prefix
+        # below bit i is 2**i - 1.
+        n = 2**m - 1
+        total = sum(Fraction(2**i - 1) for i in range(m))
+        total += sum(Fraction(2**i - 1, 2**i) for i in range(1, m))
+        assert _all_ones_maximum(m) == total / (n - 1)
 
     def test_disagreement_prints_all_and_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "max_value_closed", lambda n: Fraction(1, 2))

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from treebalance import extremal
 from treebalance.extremal import (
     ExtremalReport,
     max_value_closed,
@@ -31,6 +33,31 @@ KNOWN_MAXIMA = {
 }
 
 
+def _recursive_reference(n):
+    """The docstring recurrence of max_value_recursive, one Fraction per term."""
+    chain = [n]
+    while chain[-1] > 1:
+        chain.append(chain[-1] - (1 << (chain[-1].bit_length() - 1)))
+    value = Fraction(0)
+    for m in reversed(chain[:-1]):
+        k = 1 << (m.bit_length() - 1)
+        value = ((k - 1) + (m - k - 1) * value + Fraction(m - k, k)) / (m - 1)
+    return value
+
+
+def _closed_reference(n):
+    """The docstring sum of max_value_closed, one Fraction per term."""
+    if n <= 1:
+        return Fraction(0)
+    powers = [1 << e for e in range(n.bit_length()) if (n >> e) & 1]
+    total = Fraction(sum(p - 1 for p in powers))
+    prefix = 0
+    for small, nxt in zip(powers, powers[1:]):
+        prefix += small
+        total += Fraction(prefix, nxt)
+    return total / (n - 1)
+
+
 @pytest.mark.parametrize("fn", [max_value_recursive, max_value_closed])
 @pytest.mark.parametrize("n,expected", sorted(KNOWN_MAXIMA.items()))
 def test_known_maxima(fn, n, expected):
@@ -58,6 +85,34 @@ def test_formulas_agree_to_2048():
 def test_formulas_agree_with_thousands_of_set_bits():
     n = 2**4000 - 1
     assert max_value_recursive(n) == max_value_closed(n)
+
+
+def test_formulas_equal_their_definitions_below_5000(monkeypatch):
+    # A fresh memo filled in shuffled order, so remainders arrive both
+    # before and after the values that reuse them.
+    monkeypatch.setattr(extremal, "_max_memo", {0: 0, 1: 0})
+    ns = list(range(5000))
+    random.Random(5000).shuffle(ns)
+    for n in ns:
+        assert max_value_recursive(n) == _recursive_reference(n)
+        assert max_value_closed(n) == _closed_reference(n)
+    assert all(type(v) is int for v in extremal._max_memo.values())
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2**4000 - 1, 3**600, random.Random(3000).getrandbits(3000) | 1 << 2999],
+    ids=["2**4000-1", "3**600", "seeded-3000-bit"],
+)
+def test_formulas_equal_their_definitions_for_huge_n(n):
+    assert max_value_recursive(n) == _recursive_reference(n)
+    assert max_value_closed(n) == _closed_reference(n)
+
+
+def test_closed_form_shares_no_state(monkeypatch):
+    monkeypatch.setattr(extremal, "_max_memo", None)
+    for n in range(300):
+        assert max_value_closed(n) == _closed_reference(n)
 
 
 def test_even_recursion_matches_to_2048():

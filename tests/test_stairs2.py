@@ -62,7 +62,7 @@ def test_fully_balanced_scores_one(h):
 def test_heavily_shared_subtrees_stay_cheap():
     # fully_balanced(30) has 2**30 leaves but only 31 distinct nodes; the
     # traversals must work on distinct nodes, not the unfolded tree.
-    assert stairs2_direct(fully_balanced(30, max_height=30)) == 1
+    assert stairs2_direct(fully_balanced(30)) == 1
 
 
 def test_deep_tree_no_recursion_limit():
