@@ -47,18 +47,22 @@ def decimal_string(value: Fraction, digits: int = 10) -> str:
         return str(d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1))))
 
 
-def _fmt(value: Fraction, digits: int = 10) -> str:
+def _exact_str(value) -> str:
     # An exact value can have more digits than the interpreter's int-to-str
-    # guard allows (Python >= 3.10.7); lift it for this rendering only, so
+    # guard allows (Python >= 3.10.7); lift it for this conversion only, so
     # in-process callers of main() keep their own limit.
     if not hasattr(sys, "set_int_max_str_digits"):
-        return f"{value} ({decimal_string(value, digits)})"
+        return str(value)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return f"{value} ({decimal_string(value, digits)})"
+        return str(value)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _fmt(value: Fraction, digits: int = 10) -> str:
+    return f"{_exact_str(value)} ({decimal_string(value, digits)})"
 
 
 def _enum_bound() -> int:
@@ -183,6 +187,8 @@ def cmd_table(args) -> int:
     lo, hi = args.from_n, args.to_n
     if not (1 <= lo <= hi <= TABLE_RANGE_CAP):
         raise ValueError(f"need 1 <= from <= to <= {TABLE_RANGE_CAP}")
+    if args.precision < 1:  # before the header, so stdout stays empty
+        raise ValueError("need at least one significant digit")
     sep = {"csv": ",", "tsv": "\t", "plain": " "}[args.format]
     if args.format != "plain":
         print(sep.join(("n", "st2_max_exact", "st2_max_decimal")))
@@ -202,7 +208,7 @@ def cmd_enumerate(args) -> int:
         for shape in shapes:
             print(write_newick(NewickDocument(shape)))
         return 0
-    print(count_shapes(args.n))
+    print(_exact_str(count_shapes(args.n)))
     return 0
 
 

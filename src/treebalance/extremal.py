@@ -9,7 +9,9 @@ Three routes to the maximum index over all n-leaf shapes:
 The first two are independent of each other.  The third is not: it takes
 the half-size value from ``max_value_recursive``, so it checks the
 doubling step rather than the whole recursion.  They must agree exactly
-everywhere; the test suite holds them to that.
+everywhere; the test suite holds them to that.  Each is a pure function of
+n: the first two make one loop over n's set bits, O(popcount n) integer
+steps, with no memo, so nothing is kept between calls.
 
 ``verify_extremal`` is the ground truth at small n: it scores every shape
 exactly and reports whether the maximizer is unique and is the echelon
@@ -28,11 +30,6 @@ from .tree import CanonicalCode, Tree, canonical
 
 _ZERO = Fraction(0)
 
-# (n - 1) * 2**floor(log2 n) * value(n) for every n computed so far, as exact
-# integers.  They stay for the life of the process, so the rows of a table
-# reuse each other's remainders instead of whole chains.
-_max_memo: dict[int, int] = {0: 0, 1: 0}
-
 
 def max_value_recursive(n: int) -> Fraction:
     """Maximum index over n-leaf shapes, by power-of-two peeling.
@@ -48,29 +45,26 @@ def max_value_recursive(n: int) -> Fraction:
 
         N(n) = (k - 1) k + r + N(r) * (k / k_r),    N(0) = N(1) = 0,
 
-    where k / k_r is a power of two, so the last term is a shift.  The memo
-    holds N over n, so the only reduction is the returned ``Fraction``.
-    Iterative: n may have any number of set bits.
+    where k / k_r is a power of two, so the last term is a shift.  The
+    remainders r are the prefixes of n's binary expansion, so one loop
+    builds N up from the lowest set bit of n, adding one bit per step:
+    O(popcount n) integer steps per call, no recursion, and no state kept
+    between calls.  The only reduction is the returned ``Fraction``.
     """
     if n < 0:
         raise ValueError("leaf count must be non-negative")
     if n <= 1:
         return _ZERO
-    # Peel off top bits down to the first memoized remainder, then fill the
-    # memo back up in the opposite order.
-    pending = []
+    scaled = prefix = 0
     rest = n
-    while rest not in _max_memo:
-        pending.append(rest)
-        rest -= 1 << (rest.bit_length() - 1)
-    scaled = _max_memo[rest]
-    for m in reversed(pending):
-        top = m.bit_length() - 1
-        # rest is m - k; at rest = 0 the shift is top + 1, harmless on N(0) = 0.
-        scaled = (((1 << top) - 1) << top) + rest + (scaled << (top - rest.bit_length() + 1))
-        _max_memo[m] = scaled
-        rest = m
-    return Fraction(scaled, (n - 1) << (n.bit_length() - 1))
+    while rest:
+        k = rest & -rest
+        top = k.bit_length() - 1
+        # N(prefix + k) from N(prefix); at prefix = 0 the shift is on N(0) = 0.
+        scaled = ((k - 1) << top) + prefix + (scaled << (top + 1 - prefix.bit_length()))
+        prefix += k
+        rest ^= k
+    return Fraction(scaled, (n - 1) << top)
 
 
 def max_value_closed(n: int) -> Fraction:

@@ -58,18 +58,15 @@ def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Tree]:
     yield from _shapes(n)
 
 
-_count_cache: dict[int, int] = {1: 1}
-
-
 def count_shapes(n: int) -> int:
-    """Count n-leaf shapes by the pairing recurrence; no trees are built."""
+    """Count n-leaf shapes by the pairing recurrence; builds no tree, keeps no state."""
     if n < 1:
         raise ValueError("need at least one leaf")
-    known = _count_cache
-    for m in range(max(known) + 1, n + 1):
-        total = sum(known[i] * known[m - i] for i in range(1, (m - 1) // 2 + 1))
+    w = [0, 1]
+    for m in range(2, n + 1):
+        total = sum(w[i] * w[m - i] for i in range(1, (m - 1) // 2 + 1))
         if m % 2 == 0:
-            half = known[m // 2]
+            half = w[m // 2]
             total += half * (half + 1) // 2
-        known[m] = total
-    return known[n]
+        w.append(total)
+    return w[n]

@@ -9,6 +9,7 @@ from treebalance import cli
 from treebalance.cli import decimal_string, main
 from treebalance.families import caterpillar
 from treebalance.newick import NewickDocument, write_newick
+from treebalance.shapes import count_shapes
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -323,6 +324,13 @@ class TestTable:
         assert rc == 0
         assert out.splitlines()[1] == "5,13/16,0.8125"
 
+    @pytest.mark.parametrize("precision", ["0", "-3"])
+    def test_precision_below_one_prints_nothing(self, capsys, precision):
+        rc, out, err = run(capsys, ["table", "--from", "1", "--to", "3", "--precision", precision])
+        assert rc == 2
+        assert out == ""
+        assert "significant digit" in err
+
     @pytest.mark.parametrize("lo,hi", [(0, 2), (3, 2), (1, 10**6 + 1)])
     def test_bad_ranges_rejected(self, capsys, lo, hi):
         rc, _, _ = run(capsys, ["table", "--from", str(lo), "--to", str(hi)])
@@ -344,6 +352,26 @@ class TestEnumerate:
         rc, out, _ = run(capsys, ["enumerate", "--n", "40", "--count-only"])
         assert rc == 0
         assert int(out) > 10**9
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_count_longer_than_the_int_str_limit(self, capsys):
+        # 640 is the lowest limit Python accepts; the count at n = 1650 has 647 digits.
+        n = 1650
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rc, out, _ = run(capsys, ["enumerate", "--n", str(n)])
+            assert rc == 0
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{count_shapes(n)}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_emit_newick_three(self, capsys):
         rc, out, _ = run(capsys, ["enumerate", "--n", "3", "--emit-newick"])

@@ -1,9 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from treebalance import extremal
 from treebalance.extremal import (
     ExtremalReport,
     max_value_closed,
@@ -87,16 +87,24 @@ def test_formulas_agree_with_thousands_of_set_bits():
     assert max_value_recursive(n) == max_value_closed(n)
 
 
-def test_formulas_equal_their_definitions_below_5000(monkeypatch):
-    # A fresh memo filled in shuffled order, so remainders arrive both
-    # before and after the values that reuse them.
-    monkeypatch.setattr(extremal, "_max_memo", {0: 0, 1: 0})
-    ns = list(range(5000))
-    random.Random(5000).shuffle(ns)
-    for n in ns:
+def test_formulas_equal_their_definitions_below_5000():
+    for n in range(5000):
         assert max_value_recursive(n) == _recursive_reference(n)
         assert max_value_closed(n) == _closed_reference(n)
-    assert all(type(v) is int for v in extremal._max_memo.values())
+
+
+def test_formulas_keep_no_memory_between_calls():
+    # A memo of the 14280 peeled remainders would hold tens of MB.  No other
+    # test asks for n = 2**14280 - 3, so such a memo could not be warm already.
+    n = 2**14280 - 3
+    tracemalloc.start()
+    try:
+        values = [max_value_recursive(n), max_value_closed(n), max_value_even_recursion(n - 1)]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values[0] == values[1]
+    assert kept < 2**20
 
 
 @pytest.mark.parametrize(
@@ -107,12 +115,6 @@ def test_formulas_equal_their_definitions_below_5000(monkeypatch):
 def test_formulas_equal_their_definitions_for_huge_n(n):
     assert max_value_recursive(n) == _recursive_reference(n)
     assert max_value_closed(n) == _closed_reference(n)
-
-
-def test_closed_form_shares_no_state(monkeypatch):
-    monkeypatch.setattr(extremal, "_max_memo", None)
-    for n in range(300):
-        assert max_value_closed(n) == _closed_reference(n)
 
 
 def test_even_recursion_matches_to_2048():
