@@ -27,6 +27,8 @@ from .tree import canonical
 TABLE_RANGE_CAP = 10**6
 #: Most leaves ``generate`` writes; the unfolded output costs memory per leaf.
 GENERATE_LEAF_CAP = 2**22
+#: Most leaves ``enumerate`` counts; the count costs about n**3.6 bit operations.
+COUNT_LEAF_CAP = 2048
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:
@@ -208,6 +210,8 @@ def cmd_enumerate(args) -> int:
         for shape in shapes:
             print(write_newick(NewickDocument(shape)))
         return 0
+    if args.n > COUNT_LEAF_CAP:
+        raise ValueError(f"{args.n} leaves is over the bound of {COUNT_LEAF_CAP}")
     print(_exact_str(count_shapes(args.n)))
     return 0
 

@@ -147,10 +147,15 @@ def _node_sum(t: Tree, scale: int, memo: "dict[int, int]") -> int:
     Ids are keys only while their nodes live, so one memo must serve only
     trees that outlive it.
 
-    Unlike the other traversals it does not go through ``tree._postorder``:
-    on a 2-vCPU VM that made ``verify --max-n 17`` take 0.42 s instead of
-    0.28-0.30 s, and the memo it needs, which also holds every root, raised
-    the command's peak RSS from 21 MB to 26 MB.
+    The memo outlives one tree on purpose.  Every n-leaf shape is built
+    from the cached shapes of smaller n, so all the shapes of one
+    ``verify_extremal`` call share the same few subtree objects; a memo
+    that dropped a sum after its last reader in one tree, as
+    ``tree._fold`` does, would sum those subtrees again for every shape.
+    Nor does it go through ``tree._postorder``: on a 2-vCPU VM that made
+    ``verify --max-n 17`` take 0.42 s instead of 0.28-0.30 s, and the memo
+    it needs, which also holds every root, raised the command's peak RSS
+    from 21 MB to 26 MB.
     """
     if t.left is None:
         return 0

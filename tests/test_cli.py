@@ -373,6 +373,23 @@ class TestEnumerate:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("argv", [["--n", "2049"], ["--n", str(10**30), "--count-only"]])
+    def test_count_over_the_leaf_bound_refused_before_counting(self, capsys, monkeypatch, argv):
+        def fail(n):
+            raise AssertionError("counted past the bound")
+
+        monkeypatch.setattr(cli, "count_shapes", fail)
+        rc, out, err = run(capsys, ["enumerate", *argv])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {argv[1]} leaves is over the bound of 2048\n"
+
+    def test_count_at_the_leaf_bound_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_shapes", lambda n: n * 10)
+        rc, out, _ = run(capsys, ["enumerate", "--n", str(cli.COUNT_LEAF_CAP)])
+        assert rc == 0
+        assert out == "20480\n"
+
     def test_emit_newick_three(self, capsys):
         rc, out, _ = run(capsys, ["enumerate", "--n", "3", "--emit-newick"])
         assert rc == 0

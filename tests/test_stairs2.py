@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,37 @@ from treebalance.families import caterpillar, echelon, fully_balanced
 from treebalance.newick import NewickDocument, parse_newick, write_newick
 from treebalance.shapes import enumerate_shapes
 from treebalance.stairs2 import stairs2_direct, stairs2_recursive
-from treebalance.tree import Tree, canonical
+from treebalance.tree import Tree, canonical, height
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=40)
+
+
+def shared_dags(max_joins):
+    """Trees whose subtrees are shared objects: each new node pairs two
+    already built nodes, possibly the same node twice."""
+    picks = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=max_joins)
+
+    def build(pairs):
+        nodes = [Tree()]
+        for i, j in pairs:
+            nodes.append(Tree(nodes[i % len(nodes)], nodes[j % len(nodes)]))
+        return nodes[-1]
+
+    return picks.map(build)
+
+
+def unshared(t):
+    """A copy of ``t`` in which no node has two parents (recursion depth = height)."""
+    return Tree() if t.is_leaf else Tree(unshared(t.left), unshared(t.right))
+
+
+def fibonacci_dag(k):
+    """f[k] = Tree(f[k-1], f[k-2]) from two leaves: k - 1 internal nodes, Fib(k+1) leaves, height k - 1."""
+    f = [Tree(), Tree()]
+    for _ in range(2, k + 1):
+        f.append(Tree(f[-1], f[-2]))
+    return f[k]
+
 
 # Brute-force values, frozen from exhaustive scoring of the unique shapes.
 CATERPILLAR_VALUES = {
@@ -61,8 +90,26 @@ def test_fully_balanced_scores_one(h):
 
 def test_heavily_shared_subtrees_stay_cheap():
     # fully_balanced(30) has 2**30 leaves but only 31 distinct nodes; the
-    # traversals must work on distinct nodes, not the unfolded tree.
-    assert stairs2_direct(fully_balanced(30)) == 1
+    # traversals must work on distinct nodes, not the unfolded tree.  Every
+    # node there is both children of its parent, so it has two readers.
+    t = fully_balanced(30)
+    assert stairs2_direct(t) == 1
+    assert stairs2_recursive(t) == 1
+    assert height(t) == 30
+
+
+@pytest.mark.parametrize("fn", [stairs2_direct, stairs2_recursive])
+def test_memory_follows_the_frontier_not_the_tree(fn):
+    # A caterpillar's partial sums reach O(n) bits, so keeping one per node
+    # until the end peaks at 44 MB here; the last reader drops each one.
+    t = caterpillar(15000)
+    tracemalloc.start()
+    try:
+        fn(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_deep_tree_no_recursion_limit():
@@ -82,6 +129,31 @@ def test_recursive_builds_no_canonical_codes():
 @given(trees)
 def test_direct_equals_recursive(t):
     assert stairs2_direct(t) == stairs2_recursive(t)
+
+
+@given(shared_dags(40))
+def test_direct_equals_recursive_on_shared_subtrees(t):
+    assert stairs2_direct(t) == stairs2_recursive(t)
+
+
+@given(shared_dags(12))
+def test_sharing_does_not_change_any_value(t):
+    copy = unshared(t)
+    assert stairs2_direct(t) == stairs2_direct(copy)
+    assert stairs2_recursive(t) == stairs2_recursive(copy)
+    assert height(t) == height(copy)
+
+
+def test_fibonacci_dag():
+    # Every internal node but the top two has two parents, one and two levels up.
+    t = fibonacci_dag(70)
+    assert stairs2_direct(t) == stairs2_recursive(t)
+    assert height(t) == 69
+    for k in range(2, 16):
+        t = fibonacci_dag(k)
+        copy = unshared(t)
+        assert stairs2_direct(t) == stairs2_recursive(t) == stairs2_direct(copy) == stairs2_recursive(copy)
+        assert height(t) == height(copy) == k - 1
 
 
 @given(trees)
