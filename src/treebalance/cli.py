@@ -2,7 +2,8 @@
 
 Subcommands: compute, generate, max-value, verify, table, enumerate.
 Exit codes are a stable contract for CI use: 0 success/verified, 1
-verification or internal consistency failure, 2 usage or parse errors.
+verification or internal consistency failure, 2 usage or parse errors
+and running out of memory.
 All output is deterministic for a given set of flags.
 """
 
@@ -272,6 +273,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # NewickError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Exit 1 means a failed verification; running out is a usage limit.
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -20,9 +20,14 @@ Exactly one statement per input: anything other than whitespace after the
 ';' is an error.
 
 The parser and writer are both iterative, so arbitrarily deep trees are
-handled without recursion limits.  The writer emits only what the parser
-reads back: ``NewickDocument`` rejects any label that is not an unquoted
-name.
+handled without recursion limits.  The parser shares equal ordered
+subtrees (hash-consing): all leaves of one parse are one object, and an
+internal node whose two children, in that order, are the same objects as
+another's is that other node.  A shape then holds one node per distinct
+ordered subtree, which the identity-keyed walks of ``tree`` and
+``stairs2`` visit once each; leaf order, and with it the labels, is
+unchanged.  The writer emits only what the parser reads back:
+``NewickDocument`` rejects any label that is not an unquoted name.
 """
 
 import re
@@ -78,9 +83,10 @@ class NewickDocument:
 def parse_newick(text: str) -> NewickDocument:
     """Parse one Newick statement into a :class:`NewickDocument`.
 
-    The resulting shape mirrors the parenthesization exactly.  If no leaf
-    carries a label the document's ``labels`` is None; otherwise unlabeled
-    leaves get the empty string.
+    The resulting shape mirrors the parenthesization exactly, with equal
+    ordered subtrees shared as one object.  If no leaf carries a label the
+    document's ``labels`` is None; otherwise unlabeled leaves get the empty
+    string.
     """
     s = text
     size = len(s)
@@ -109,6 +115,10 @@ def parse_newick(text: str) -> NewickDocument:
     # Open internal nodes: (collected children, offset of their '(').
     stack: "list[tuple[list[Tree], int]]" = []
     labels: list[str] = []
+    leaf = Tree()
+    # Hash-consing: one node per ordered child pair.  Keyed on identities,
+    # which the table keeps alive; ``Tree.__hash__`` would build codes.
+    interned: "dict[tuple[int, int], Tree]" = {}
     while True:
         i = skip_ws(i)
         if i < size and s[i] == "(":
@@ -119,7 +129,7 @@ def parse_newick(text: str) -> NewickDocument:
         label, i = read_label(i)
         i = skip_branch_length(i)
         labels.append(label)
-        node = Tree()
+        node = leaf
 
         # Attach the completed subtree upward until a ',' yields control
         # back to the scanner or the root is done.
@@ -147,7 +157,11 @@ def parse_newick(text: str) -> NewickDocument:
                 stack.pop()
                 _, i = read_label(i + 1)  # internal label, discarded
                 i = skip_branch_length(i)
-                node = Tree(children[0], children[1])
+                left, right = children
+                key = (id(left), id(right))
+                node = interned.get(key)
+                if node is None:
+                    node = interned[key] = Tree(left, right)
                 continue
             if i >= size:
                 raise NewickError("unexpected end of input", size)

@@ -10,11 +10,12 @@ generators rely on this), so every structural operation here walks each
 distinct node at most once, keyed by identity, instead of recursing over
 the unfolded tree.  That walk is written once, in ``_postorder``: an
 explicit stack rather than recursion, so arbitrarily deep trees such as
-large caterpillars are safe.  It serves two callers only.  ``canonical``
-caches its codes on the nodes, across calls.  ``_fold`` evaluates a
-bottom-up function of the tree and keeps each node's value only until its
-last parent has read it; ``height`` and the two index functions in
-``stairs2`` are each one ``_fold`` call.
+large caterpillars are safe.  ``canonical`` caches its codes on the
+nodes, across calls.  ``_fold`` evaluates a bottom-up function of the tree
+and keeps each node's value only until its last parent has read it;
+``height`` and ``stairs2.stairs2_recursive`` are each one ``_fold`` call.
+``stairs2.stairs2_direct`` walks the distinct nodes itself, since it
+weights each one by its multiplicity in the unfolded tree.
 """
 
 from typing import Callable, Iterator, TypeVar
@@ -70,8 +71,8 @@ def _postorder(t: Tree, done: "Callable[[Tree], bool]") -> "Iterator[Tree]":
     A node for which ``done(node)`` is true is skipped together with
     everything below it.  Callers record each yielded node, so that ``done``
     becomes true for it, before asking for the next one; a subtree shared
-    by several parents is then yielded once.  Its callers are ``canonical``
-    and ``_fold``.
+    by several parents is then yielded once.  Reversed, the order has every
+    node before its children.
     """
     stack = [(t, False)]
     while stack:

@@ -91,6 +91,16 @@ class TestCompute:
         assert out == "direct: 3/4 (0.7500000000)\nrecursive: 1/2 (0.5000000000)\n"
         assert err == "error: direct and recursive values disagree\n"
 
+    def test_out_of_memory_is_one_line_and_exit_two(self, capsys, monkeypatch):
+        def exhausted(t):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "stairs2_direct", exhausted)
+        rc, out, err = run(capsys, ["compute", "-", "--method", "both"], "((A,B),C);", monkeypatch)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: out of memory\n"
+
     def test_recursive_method(self, capsys, monkeypatch):
         rc, out, _ = run(capsys, ["compute", "-", "--method", "recursive"], "(A,B);", monkeypatch)
         assert rc == 0

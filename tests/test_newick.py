@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,7 @@ from treebalance.newick import (
     write_newick,
 )
 from treebalance.shapes import enumerate_shapes
-from treebalance.tree import Tree, is_isomorphic
+from treebalance.tree import Tree, _postorder, is_isomorphic
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=24)
 # Mostly readable characters, so that many documents get past construction.
@@ -190,3 +192,86 @@ class TestRoundTrip:
         doc = parse_newick("((alpha,beta),gamma);")
         again = parse_newick(write_newick(doc))
         assert again.labels == ("alpha", "beta", "gamma")
+
+
+def yule_newick(seed, leaves):
+    """Labelled Newick text with branch lengths of a seeded Yule tree: split
+    a uniformly drawn tip until there are ``leaves``; labels repeat."""
+    rng = random.Random(seed)
+    root: list = []
+    tips = [root]
+    for _ in range(leaves - 1):
+        tip = tips.pop(rng.randrange(len(tips)))
+        tip.extend(([], []))
+        tips.extend(tip)
+
+    def text(node):
+        inner = f"L{rng.randrange(12)}" if not node else f"({text(node[0])},{text(node[1])})"
+        return f"{inner}:0.{rng.randrange(1, 10)}"
+
+    return text(root) + ";"
+
+
+# write_newick(parse_newick(yule_newick(2024, 48))) before the parser shared subtrees.
+YULE_2024_48_WRITTEN = (
+    "(((((((((((((L9,L5),(L10,L5)),L4),L9),L2),L5),(((L9,L5),L7),L5)),L1),L4),((L5,L6),L0)),"
+    "((((((((L8,L7),L9),(L2,L3)),L4),L6),((L3,L8),L10)),((L9,L7),(L10,L3))),L7)),"
+    "((((((L2,L9),(L9,L8)),(L0,L4)),L1),(((((L5,L11),L11),L9),L9),(L10,L7))),L6)),L7);"
+)
+
+
+def balanced_newick(h):
+    """Newick text of a fully balanced tree with 2**h leaves labelled x0, x1, ..."""
+    items = [f"x{i}" for i in range(2**h)]
+    while len(items) > 1:
+        items = [f"({a},{b})" for a, b in zip(items[::2], items[1::2])]
+    return items[0] + ";"
+
+
+def distinct_nodes(t):
+    """The distinct internal node objects of ``t`` and the ids of its leaf objects."""
+    seen: dict = {}
+    for node in _postorder(t, lambda v: id(v) in seen):
+        seen[id(node)] = node
+    internal = list(seen.values())
+    leaves = {id(c) for v in internal for c in (v.left, v.right) if c.is_leaf}
+    return internal, leaves
+
+
+class TestSharing:
+    def test_balanced_tree_has_one_node_per_level(self):
+        doc = parse_newick(balanced_newick(16))
+        internal, leaves = distinct_nodes(doc.shape)
+        assert len(internal) == 16
+        assert len(leaves) == 1
+        assert doc.shape.leaf_count == 2**16
+        assert doc.labels == tuple(f"x{i}" for i in range(2**16))
+
+    @pytest.mark.parametrize("text", [
+        write_newick(NewickDocument(caterpillar(500))),
+        "(a," * 499 + "b" + ")" * 499 + ";",
+    ], ids=["written", "right-leaning"])
+    def test_caterpillar_shares_only_its_leaves(self, text):
+        internal, leaves = distinct_nodes(parse_newick(text).shape)
+        assert len(internal) == 499
+        assert len(leaves) == 1
+
+    def test_mirrored_pairs_keep_their_labels(self):
+        doc = parse_newick("((A,B),(B,A));")
+        assert doc.shape.left is doc.shape.right
+        assert doc.labels == ("A", "B", "B", "A")
+        assert write_newick(doc) == "((A,B),(B,A));"
+
+    def test_sharing_keys_on_child_order(self):
+        doc = parse_newick("(((A,B),C),(C,(A,B)));")
+        left, right = doc.shape.left, doc.shape.right
+        assert left is not right
+        assert left.left is right.right
+        assert doc.labels == ("A", "B", "C", "C", "A", "B")
+        assert write_newick(doc) == "(((A,B),C),((A,B),C));"
+
+    def test_written_text_is_unchanged_by_sharing(self):
+        text = yule_newick(2024, 48)
+        doc = parse_newick(text)
+        assert len(distinct_nodes(doc.shape)[0]) < 47
+        assert write_newick(doc) == YULE_2024_48_WRITTEN

@@ -1,14 +1,15 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from treebalance.families import caterpillar, echelon, fully_balanced
 from treebalance.newick import NewickDocument, parse_newick, write_newick
 from treebalance.shapes import enumerate_shapes
 from treebalance.stairs2 import stairs2_direct, stairs2_recursive
-from treebalance.tree import Tree, canonical, height
+from treebalance.tree import Tree, _postorder, canonical, height
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=40)
 
@@ -38,6 +39,42 @@ def fibonacci_dag(k):
     for _ in range(2, k + 1):
         f.append(Tree(f[-1], f[-2]))
     return f[k]
+
+
+def term_by_term(t):
+    """The defining sum with one ``Fraction`` per node of the unfolded tree."""
+    total = Fraction(0)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        na, nb = node.left.leaf_count, node.right.leaf_count
+        total += Fraction(na, nb) if na <= nb else Fraction(nb, na)
+        stack += (node.left, node.right)
+    return total / (t.leaf_count - 1) if t.leaf_count > 1 else total
+
+
+def seeded_dag(seed):
+    """A DAG of 2 to 12 joins, each of two of the last four nodes built (so
+    nodes are shared, and a node may be paired with itself); for every
+    third seed the last join pairs the top node with itself."""
+    rng = random.Random(seed)
+    nodes = [Tree()]
+    for _ in range(rng.randrange(2, 13)):
+        nodes.append(Tree(rng.choice(nodes[-4:]), rng.choice(nodes[-4:])))
+    if seed % 3 == 0:
+        nodes.append(Tree(nodes[-1], nodes[-1]))
+    return nodes[-1]
+
+
+def distinct_denominators(t):
+    seen = set()
+    dens = set()
+    for node in _postorder(t, lambda v: id(v) in seen):
+        seen.add(id(node))
+        dens.add(max(node.left.leaf_count, node.right.leaf_count))
+    return len(dens)
 
 
 # Brute-force values, frozen from exhaustive scoring of the unique shapes.
@@ -144,6 +181,16 @@ def test_sharing_does_not_change_any_value(t):
     assert height(t) == height(copy)
 
 
+@given(trees)
+@example(fully_balanced(10))
+@example(echelon(777))
+def test_parsed_tree_values_equal_an_unshared_copy(t):
+    shape = parse_newick(write_newick(NewickDocument(t))).shape
+    copy = unshared(shape)
+    assert stairs2_direct(shape) == stairs2_direct(copy)
+    assert stairs2_recursive(shape) == stairs2_recursive(copy)
+
+
 def test_fibonacci_dag():
     # Every internal node but the top two has two parents, one and two levels up.
     t = fibonacci_dag(70)
@@ -179,3 +226,19 @@ def test_value_one_characterizes_fully_balanced_to_twelve():
                 assert power and canonical(shape) == fb_code
             else:
                 assert not power or canonical(shape) != fb_code
+
+
+def test_direct_equals_term_by_term_on_every_shape_to_twelve():
+    for n in range(1, 13):
+        for shape in enumerate_shapes(n):
+            assert stairs2_direct(shape) == term_by_term(shape)
+
+
+def test_direct_equals_term_by_term_on_seeded_dags():
+    parities = set()
+    for seed in range(60):
+        t = seeded_dag(seed)
+        assert stairs2_direct(t) == term_by_term(t)
+        parities.add(distinct_denominators(t) % 2)
+    # An odd count carries a term over at the first level of the product tree.
+    assert parities == {0, 1}
