@@ -1,6 +1,8 @@
 """Newick reading and writing for strictly binary trees.
 
-Grammar (whitespace between tokens, including newlines, is ignored):
+Grammar, where whitespace (newlines included) may surround ``(``, ``,``,
+``)``, ``;`` and a leaf's label, an internal label follows its ``)``
+directly, and ``name:length`` has no space inside it:
 
     tree    := subtree ';'
     subtree := leaf | '(' subtree ',' subtree ')' label?
@@ -39,6 +41,9 @@ from .tree import Tree, decompose
 # ``\s`` matches exactly the characters for which ``str.isspace`` is true.
 _NAME = re.compile(r"[^\s();,:\ufeff]*")
 _BRANCH_LENGTH = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# One token: leading space, a label, an optional branch length, and the
+# next character (a delimiter, an offending character, or '' at the end).
+_TOKEN = re.compile(rf"(\s*)({_NAME.pattern})(?::({_NAME.pattern}))?\s*(.?)", re.S)
 
 
 class NewickError(ValueError):
@@ -88,30 +93,7 @@ def parse_newick(text: str) -> NewickDocument:
     document's ``labels`` is None; otherwise unlabeled leaves get the empty
     string.
     """
-    s = text
-    size = len(s)
-
-    def skip_ws(i: int) -> int:
-        while i < size and s[i].isspace():
-            i += 1
-        return i
-
-    def read_label(i: int) -> "tuple[str, int]":
-        end = _NAME.match(s, i).end()
-        return s[i:end], end
-
-    def skip_branch_length(i: int) -> int:
-        if i < size and s[i] == ":":
-            start = i + 1
-            i = _NAME.match(s, start).end()
-            if not _BRANCH_LENGTH.fullmatch(s, start, i):
-                raise NewickError("invalid branch length", start)
-        return i
-
-    i = 1 if s.startswith("\ufeff") else 0
-    if skip_ws(i) >= size:
-        raise NewickError("empty input", 0)
-
+    begin = 1 if text.startswith("\ufeff") else 0
     # Open internal nodes: (collected children, offset of their '(').
     stack: "list[tuple[list[Tree], int]]" = []
     labels: list[str] = []
@@ -119,53 +101,54 @@ def parse_newick(text: str) -> NewickDocument:
     # Hash-consing: one node per ordered child pair.  Keyed on identities,
     # which the table keeps alive; ``Tree.__hash__`` would build codes.
     interned: "dict[tuple[int, int], Tree]" = {}
-    while True:
-        i = skip_ws(i)
-        if i < size and s[i] == "(":
-            stack.append(([], i))
-            i += 1
-            continue
-
-        label, i = read_label(i)
-        i = skip_branch_length(i)
-        labels.append(label)
-        node = leaf
-
-        # Attach the completed subtree upward until a ',' yields control
-        # back to the scanner or the root is done.
-        while True:
-            i = skip_ws(i)
-            if not stack:
-                if i < size and s[i] == ")":
-                    raise NewickError("unbalanced parentheses: ')' without '('", i)
-                if i >= size or s[i] != ";":
-                    raise NewickError("expected ';'", i)
-                i = skip_ws(i + 1)
-                if i < size:
-                    raise NewickError("unexpected content after ';'", i)
-                return NewickDocument(node, tuple(labels))
+    node = None  # the completed subtree awaiting its delimiter, if any
+    tokens = _TOKEN.finditer(text, begin)
+    for m in tokens:
+        space, label, length, ch = m.groups()
+        if node is None:
+            if ch == "(" and not label and length is None:
+                stack.append(([], m.end() - 1))
+                continue
+            labels.append(label)
+            node = leaf
+        elif space and (label or length is not None):
+            at = m.end(1)  # an internal label follows its ')' directly
+            break
+        if length is not None and not _BRANCH_LENGTH.fullmatch(length):
+            raise NewickError("invalid branch length", m.start(3))
+        if stack:
             children, open_at = stack[-1]
             children.append(node)
-            if i < size and s[i] == ",":
-                if len(children) >= 2:
+            if ch == ",":
+                if len(children) > 1:
                     raise NewickArityError("node has more than two children", open_at)
-                i += 1
-                break
-            if i < size and s[i] == ")":
+                node = None
+                continue
+            if ch == ")":
                 if len(children) != 2:
                     raise NewickArityError("node has fewer than two children", open_at)
                 stack.pop()
-                _, i = read_label(i + 1)  # internal label, discarded
-                i = skip_branch_length(i)
-                left, right = children
-                key = (id(left), id(right))
+                key = (id(children[0]), id(children[1]))
                 node = interned.get(key)
                 if node is None:
-                    node = interned[key] = Tree(left, right)
+                    node = interned[key] = Tree(*children)
                 continue
-            if i >= size:
-                raise NewickError("unexpected end of input", size)
-            raise NewickError(f"expected ',' or ')', found {s[i]!r}", i)
+        elif ch == ";":
+            at = next(tokens).end(1)
+            if at < len(text):
+                raise NewickError("unexpected content after ';'", at)
+            return NewickDocument(node, tuple(labels))
+        at = m.end() - len(ch)
+        break
+    # ``at`` is the offending character, or the end of the text.
+    found = text[at : at + 1]
+    if stack:
+        message = f"expected ',' or ')', found {found!r}" if found else "unexpected end of input"
+    elif m.start() == begin and m.end(1) == len(text):
+        raise NewickError("empty input", 0)
+    else:
+        message = "unbalanced parentheses: ')' without '('" if found == ")" else "expected ';'"
+    raise NewickError(message, at)
 
 
 def write_newick(doc: NewickDocument) -> str:

@@ -1,6 +1,6 @@
 """Exhaustive enumeration of tree shapes, with an independent count.
 
-``enumerate_shapes(n)`` yields exactly one representative per n-leaf shape
+``enumerate_shapes(n)`` returns exactly one representative per n-leaf shape
 (isomorphism class).  ``count_shapes(n)`` evaluates the classic pairing
 recurrence for the number of such shapes without building any trees, so
 the two act as independent checks on each other:
@@ -9,11 +9,10 @@ the two act as independent checks on each other:
     w(2m + 1) = sum_{i=1..m} w(i) w(2m + 1 - i)
     w(2m)     = sum_{i=1..m-1} w(i) w(2m - i)  +  w(m) (w(m) + 1) / 2
 
-Shape lists for each n are cached; enumeration streams from the cache.
+Shape lists for each n are cached; enumeration returns the cached tuple.
 """
 
 from itertools import combinations_with_replacement
-from typing import Iterator
 
 from .tree import LimitError, Tree
 
@@ -45,17 +44,19 @@ def _shapes(n: int) -> "tuple[Tree, ...]":
     return result
 
 
-def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Tree]:
-    """Yield every n-leaf shape exactly once, in a fixed deterministic order.
+def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ...]":
+    """Return every n-leaf shape exactly once, in a fixed deterministic order.
 
-    Yielded trees share subtree objects with each other and with the cache;
-    they are immutable, so this is safe.  Raises LimitError above ``bound``.
+    The tuple is the cache's own; its trees share subtree objects with each
+    other, and all are immutable, so this is safe.  The arguments are
+    checked when called: ValueError below one leaf, LimitError above
+    ``bound``.
     """
     if n < 1:
         raise ValueError("need at least one leaf")
     if n > bound:
         raise LimitError(f"n={n} exceeds the enumeration bound {bound}")
-    yield from _shapes(n)
+    return _shapes(n)
 
 
 def count_shapes(n: int) -> int:

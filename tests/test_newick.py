@@ -106,6 +106,14 @@ class TestParseErrors:
             ("\ufeff(A,B)", 6),
             ("\ufeff\ufeff(A,B);", 1),
             ("A,B;", 1),
+            ("(A B,C);", 3),
+            ("A(B,C);", 1),
+            ("(A,B", 4),
+            ("(A:1:2,B);", 4),
+            ("(A,B)x:1);", 8),
+            ("(A,B) x;", 6),
+            ("(A :1,B);", 3),
+            ("((A,B) :1,C);", 7),
         ],
     )
     def test_parse_errors_carry_offsets(self, text, offset):
@@ -114,12 +122,13 @@ class TestParseErrors:
         assert exc.value.offset == offset
         assert str(exc.value.offset) in str(exc.value)
 
-    @given(st.text(alphabet="();,:AB1.- \n", max_size=50))
+    @given(st.text(alphabet="();,:AB1.-e+ \n\t\r\xa0\u2028\ufeff\u0661", max_size=50))
     def test_never_crashes_on_arbitrary_input(self, text):
         try:
             parse_newick(text)
-        except NewickError:
-            pass
+        except NewickError as exc:
+            assert 0 <= exc.offset <= len(text)
+            assert f"(offset {exc.offset})" in str(exc)
 
 
 class TestWrite:

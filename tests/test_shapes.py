@@ -66,3 +66,10 @@ def test_bounds():
     assert len(list(enumerate_shapes(5, bound=5))) == 3
     with pytest.raises(ValueError):
         next(enumerate_shapes(0))
+
+
+def test_bounds_are_checked_when_called():
+    with pytest.raises(LimitError):
+        enumerate_shapes(19)
+    with pytest.raises(ValueError):
+        enumerate_shapes(-3)
