@@ -17,15 +17,17 @@ steps, with no memo, so nothing is kept between calls.
 exactly and reports whether the maximizer is unique and is the echelon
 tree, whether the minimizer is unique and is the caterpillar, and whether
 both root subtrees of every maximizer attain the maximum for their own
-sizes.
+sizes.  That maximum is the enumerated one, the largest score among the
+shapes of that size, so the check uses none of the three formulas.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import caterpillar, echelon
-from .shapes import DEFAULT_ENUM_BOUND, enumerate_shapes
+from .shapes import DEFAULT_ENUM_BOUND, _shapes, enumerate_shapes
 from .tree import CanonicalCode, Tree, canonical
 
 _ZERO = Fraction(0)
@@ -136,73 +138,42 @@ class ExtremalReport:
     subtree_maximality_holds: bool
 
 
-def _node_sum(t: Tree, scale: int, memo: "dict[int, int]") -> int:
-    """``scale`` times the sum of min/max child leaf-count ratios over t's nodes.
-
-    A tree with m >= 2 leaves has index ``_node_sum(t, ...) / (scale * (m - 1))``,
-    and every term is an exact integer when ``scale`` is a multiple of every
-    leaf count below t, such as ``lcm(1..m-1)``.  ``memo`` maps the id of each
-    node strictly below t to its own sum, so shapes that share subtrees, as
-    enumerated shapes do, sum each shared node once; t itself is not stored.
-    Ids are keys only while their nodes live, so one memo must serve only
-    trees that outlive it.
-
-    The memo outlives one tree on purpose.  Every n-leaf shape is built
-    from the cached shapes of smaller n, so all the shapes of one
-    ``verify_extremal`` call share the same few subtree objects; a memo
-    that dropped a sum after its last reader in one tree, as
-    ``tree._fold`` does, would sum those subtrees again for every shape.
-    Nor does it go through ``tree._postorder``: on a 2-vCPU VM that made
-    ``verify --max-n 17`` take 0.42 s instead of 0.28-0.30 s, and the memo
-    it needs, which also holds every root, raised the command's peak RSS
-    from 21 MB to 26 MB.
-    """
-    if t.left is None:
-        return 0
-    na, nb = t.left.leaf_count, t.right.leaf_count
-    total = scale * min(na, nb) // max(na, nb)
-    for child in (t.left, t.right):
-        s = memo.get(id(child))
-        if s is None:
-            # Recursion depth is at most the leaf count, kept small by the
-            # enumeration bound.
-            s = memo[id(child)] = _node_sum(child, scale, memo)
-        total += s
-    return total
-
-
 def verify_extremal(n: int, bound: int = DEFAULT_ENUM_BOUND) -> ExtremalReport:
     """Score every n-leaf shape exactly and summarize the extremes.
 
-    Every score is an integer, the index times ``lcm(1..n-1) * (n - 1)``, so
-    uniqueness is decided by exact integer equality; there is no epsilon
-    anywhere.  Raises ValueError for n < 2 and LimitError above ``bound``.
+    A shape with m leaves scores its index times ``scale * (m - 1)``, where
+    ``scale = lcm(1..n-1)``: ``scale`` times the sum of min/max child
+    leaf-count ratios over its internal nodes, an integer.  So uniqueness
+    is decided by exact integer equality; there is no epsilon anywhere.
+    The children of every n-leaf shape are cached shapes of smaller sizes,
+    so those are scored first, one leaf count at a time from the smallest,
+    each in one step from its children's scores; a maximizer's root
+    subtree attains its own maximum when its score is the largest of its
+    size.  Raises ValueError for n < 2 and LimitError above ``bound``.
     """
     if n < 2:
         raise ValueError("extremal verification needs at least two leaves")
+    # One call, read once: it checks the bound and fills the cache.
+    shapes = tuple(enumerate_shapes(n, bound))
     scale = math.lcm(*range(1, n))
-    memo: dict[int, int] = {}
-    shape_count = 0
-    best: int | None = None
-    worst: int | None = None
-    max_trees: list[Tree] = []
-    min_trees: list[Tree] = []
-    for shape in enumerate_shapes(n, bound):
-        shape_count += 1
-        value = _node_sum(shape, scale, memo)
-        if best is None or value > best:
-            best, max_trees = value, [shape]
-        elif value == best:
-            max_trees.append(shape)
-        if worst is None or value < worst:
-            worst, min_trees = value, [shape]
-        elif value == worst:
-            min_trees.append(shape)
+    sums = {id(_shapes[1][0]): 0}
+    largest = [0, 0]
 
-    # Cross-multiplied, so a single leaf (m = 1, value 0) needs no special case.
+    def score(t: Tree) -> int:
+        na, nb = t.left.leaf_count, t.right.leaf_count
+        return scale * min(na, nb) // max(na, nb) + sums[id(t.left)] + sums[id(t.right)]
+
+    for m in range(2, n):
+        sums.update(zip(map(id, _shapes[m]), map(score, _shapes[m])))
+        largest.append(max(sums[id(t)] for t in _shapes[m]))
+    # 8 bytes a score, not an int object each, as they are held at verify's
+    # memory peak.  No score exceeds scale * (n - 1), below 2**63 up to n = 43.
+    scores = array("q", map(score, shapes))
+    best, worst = max(scores), min(scores)
+    max_trees = [t for t, s in zip(shapes, scores) if s == best]
+    min_trees = [t for t, s in zip(shapes, scores) if s == worst]
     subtree_ok = all(
-        _node_sum(part, scale, memo)
-        == max_value_recursive(part.leaf_count) * scale * (part.leaf_count - 1)
+        sums[id(part)] == largest[part.leaf_count]
         for tree in max_trees
         for part in (tree.left, tree.right)
     )
@@ -211,7 +182,7 @@ def verify_extremal(n: int, bound: int = DEFAULT_ENUM_BOUND) -> ExtremalReport:
     min_codes = tuple(sorted(canonical(t) for t in min_trees))
     return ExtremalReport(
         n=n,
-        shape_count=shape_count,
+        shape_count=len(shapes),
         max_value=Fraction(best, scale * (n - 1)),
         min_value=Fraction(worst, scale * (n - 1)),
         max_witnesses=max_codes,

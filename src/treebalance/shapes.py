@@ -9,7 +9,9 @@ the two act as independent checks on each other:
     w(2m + 1) = sum_{i=1..m} w(i) w(2m + 1 - i)
     w(2m)     = sum_{i=1..m-1} w(i) w(2m - i)  +  w(m) (w(m) + 1) / 2
 
-Shape lists for each n are cached; enumeration returns the cached tuple.
+The shape lists are built bottom-up and cached: ``_shapes[m]`` holds every
+m-leaf shape, and the shapes of each new leaf count pair up the cached
+shapes of smaller counts, so all of them share subtree objects.
 """
 
 from itertools import combinations_with_replacement
@@ -20,28 +22,7 @@ from .tree import LimitError, Tree
 #: TREEBALANCE_MAX_ENUM environment variable).  n = 18 means 56011 shapes.
 DEFAULT_ENUM_BOUND = 18
 
-_shape_cache: dict[int, "tuple[Tree, ...]"] = {1: (Tree(),)}
-
-
-def _shapes(n: int) -> "tuple[Tree, ...]":
-    cached = _shape_cache.get(n)
-    if cached is not None:
-        return cached
-    out = []
-    # Splits n = n1 + n2 with n1 >= n2 >= 1, larger side first.
-    for n1 in range(n - 1, (n + 1) // 2 - 1, -1):
-        n2 = n - n1
-        if n1 > n2:
-            for a in _shapes(n1):
-                for b in _shapes(n2):
-                    out.append(Tree(a, b))
-        else:
-            # Equal halves: one tree per unordered pair of shapes.
-            for a, b in combinations_with_replacement(_shapes(n1), 2):
-                out.append(Tree(a, b))
-    result = tuple(out)
-    _shape_cache[n] = result
-    return result
+_shapes: "list[tuple[Tree, ...]]" = [(), (Tree(),)]
 
 
 def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ...]":
@@ -56,7 +37,18 @@ def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ..
         raise ValueError("need at least one leaf")
     if n > bound:
         raise LimitError(f"n={n} exceeds the enumeration bound {bound}")
-    return _shapes(n)
+    for m in range(len(_shapes), n + 1):
+        out = []
+        # Splits m = m1 + m2 with m1 >= m2 >= 1, larger side first.
+        for m1 in range(m - 1, (m + 1) // 2 - 1, -1):
+            m2 = m - m1
+            if m1 > m2:
+                out.extend(Tree(a, b) for a in _shapes[m1] for b in _shapes[m2])
+            else:
+                # Equal halves: one tree per unordered pair of shapes.
+                out.extend(Tree(a, b) for a, b in combinations_with_replacement(_shapes[m1], 2))
+        _shapes.append(tuple(out))
+    return _shapes[n]
 
 
 def count_shapes(n: int) -> int:

@@ -8,12 +8,13 @@ the suite doubles as a human-readable checklist.
 
 import math
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
 
+from treebalance import extremal
 from treebalance.extremal import (
-    _node_sum,
     max_value_closed,
     max_value_even_recursion,
     max_value_recursive,
@@ -74,14 +75,26 @@ def test_maximizer_subtrees_attain_their_own_maxima(extremal_sweep):
     _pass(f"both root subtrees of each maximizer are maximizers, n=2..{SWEEP_MAX_N}")
 
 
-def test_sweep_scores_equal_the_defining_sum():
+def test_sweep_scores_equal_the_defining_sum(monkeypatch):
     # verify_extremal scores shapes by scaled integer node-sums; this holds
-    # every score it compares to the direct index, the ground truth.
+    # every score it compares to the direct index, the ground truth.  The
+    # n-leaf scores are the one array verify builds; record it per call.
+    recorded = []
+
+    def recording_array(typecode, items):
+        recorded.append(array(typecode, items))
+        return recorded[-1]
+
+    monkeypatch.setattr(extremal, "array", recording_array)
     shapes_checked = 0
     for n in range(2, SWEEP_MAX_N + 1):
-        scale, memo = math.lcm(*range(1, n)), {}
-        for shape in enumerate_shapes(n):
-            assert Fraction(_node_sum(shape, scale, memo), scale * (n - 1)) == stairs2_direct(shape)
+        verify_extremal(n)
+        (scores,) = recorded
+        recorded.clear()
+        scale = math.lcm(*range(1, n))
+        assert len(scores) == count_shapes(n)
+        for shape, score in zip(enumerate_shapes(n), scores):
+            assert Fraction(score, scale * (n - 1)) == stairs2_direct(shape)
             shapes_checked += 1
     _pass(f"sweep scores equal the defining sum on all {shapes_checked} shapes, n=2..{SWEEP_MAX_N}")
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from treebalance import extremal
 from treebalance.extremal import (
     ExtremalReport,
     max_value_closed,
@@ -12,8 +13,8 @@ from treebalance.extremal import (
     verify_extremal,
 )
 from treebalance.families import caterpillar, echelon, fully_balanced
-from treebalance.shapes import count_shapes
-from treebalance.tree import LimitError, canonical
+from treebalance.shapes import count_shapes, enumerate_shapes
+from treebalance.tree import LimitError, Tree, canonical
 
 # Frozen from brute force over all shapes per leaf count.
 KNOWN_MAXIMA = {
@@ -186,3 +187,29 @@ class TestVerifyExtremal:
             verify_extremal(19)
         with pytest.raises(LimitError):
             verify_extremal(5, bound=4)
+
+    def test_uses_no_maximum_formula(self, monkeypatch):
+        expected = {n: max_value_recursive(n) for n in range(2, 13)}
+
+        def fail(n):
+            raise AssertionError("verify_extremal evaluated a maximum-value formula")
+
+        for name in ("max_value_recursive", "max_value_closed", "max_value_even_recursion"):
+            monkeypatch.setattr(extremal, name, fail)
+        for n, value in expected.items():
+            report = verify_extremal(n)
+            assert report.max_value == value
+            assert report.max_unique_and_is_echelon
+            assert report.min_unique_and_is_caterpillar
+            assert report.subtree_maximality_holds
+
+    def test_subtree_check_can_fail(self, monkeypatch):
+        # The cached 5-leaf caterpillar is not maximal for its size, so a
+        # 6-leaf "maximizer" built on it breaks subtree maximality.
+        cat5 = next(t for t in enumerate_shapes(5) if canonical(t) == canonical(caterpillar(5)))
+        leaf = enumerate_shapes(1)[0]
+        monkeypatch.setattr(extremal, "enumerate_shapes", lambda n, bound: [Tree(cat5, leaf)])
+        report = verify_extremal(6)
+        assert report.shape_count == 1
+        assert not report.subtree_maximality_holds
+        assert not report.max_unique_and_is_echelon

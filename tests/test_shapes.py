@@ -1,5 +1,3 @@
-from itertools import islice
-
 import pytest
 
 from treebalance.families import caterpillar, echelon, fully_balanced
@@ -47,25 +45,23 @@ def test_named_families_appear(n):
         assert canonical(fully_balanced(n.bit_length() - 1)) in codes
 
 
-def test_streaming_does_not_need_exhaustion():
-    first_two = list(islice(enumerate_shapes(10), 2))
-    assert len(first_two) == 2
-
-
-def test_yield_order_is_deterministic():
+def test_order_is_deterministic():
     once = [canonical(t) for t in enumerate_shapes(7)]
     again = [canonical(t) for t in enumerate_shapes(7)]
     assert once == again
+    # Larger side first: the first two 10-leaf shapes hang off a 9-leaf one.
+    first, second = enumerate_shapes(10)[:2]
+    assert (first.left.leaf_count, second.left.leaf_count) == (9, 9)
 
 
 def test_bounds():
     with pytest.raises(LimitError):
-        next(enumerate_shapes(19))
+        enumerate_shapes(19)
     with pytest.raises(LimitError):
-        next(enumerate_shapes(5, bound=4))
-    assert len(list(enumerate_shapes(5, bound=5))) == 3
+        enumerate_shapes(5, bound=4)
+    assert len(enumerate_shapes(5, bound=5)) == 3
     with pytest.raises(ValueError):
-        next(enumerate_shapes(0))
+        enumerate_shapes(0)
 
 
 def test_bounds_are_checked_when_called():
