@@ -45,13 +45,16 @@ def test_named_families_appear(n):
         assert canonical(fully_balanced(n.bit_length() - 1)) in codes
 
 
-def test_order_is_deterministic():
-    once = [canonical(t) for t in enumerate_shapes(7)]
-    again = [canonical(t) for t in enumerate_shapes(7)]
-    assert once == again
+def test_streaming_does_not_need_exhaustion():
     # Larger side first: the first two 10-leaf shapes hang off a 9-leaf one.
     first, second = enumerate_shapes(10)[:2]
     assert (first.left.leaf_count, second.left.leaf_count) == (9, 9)
+
+
+def test_yield_order_is_deterministic():
+    once = [canonical(t) for t in enumerate_shapes(7)]
+    again = [canonical(t) for t in enumerate_shapes(7)]
+    assert once == again
 
 
 def test_bounds():
