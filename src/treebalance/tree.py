@@ -11,16 +11,12 @@ distinct node at most once, keyed by identity, instead of recursing over
 the unfolded tree.  That walk is written once, in ``_postorder``: an
 explicit stack rather than recursion, so arbitrarily deep trees such as
 large caterpillars are safe.  ``canonical`` caches its codes on the
-nodes, across calls.  ``_fold`` evaluates a bottom-up function of the tree
-and keeps each node's value only until its last parent has read it;
-``height`` and ``stairs2.stairs2_recursive`` are each one ``_fold`` call.
-``stairs2.stairs2_direct`` walks the distinct nodes itself, since it
-weights each one by its multiplicity in the unfolded tree.
+nodes, across calls; ``height`` keeps one integer per distinct node for
+the length of the call.  Both index evaluations in ``stairs2`` use the
+same walk.
 """
 
-from typing import Callable, Iterator, TypeVar
-
-V = TypeVar("V")
+from typing import Callable, Iterator
 
 #: Canonical codes are strings over "0"/"1"; equal codes mean equal shapes.
 CanonicalCode = str
@@ -87,41 +83,6 @@ def _postorder(t: Tree, done: "Callable[[Tree], bool]") -> "Iterator[Tree]":
             stack.append((node.right, False))
 
 
-def _fold(t: Tree, leaf: V, combine: "Callable[[Tree, V, V], V]") -> V:
-    """Evaluate ``combine(node, left_value, right_value)`` bottom-up over ``t``.
-
-    Every leaf has the value ``leaf``.  Each distinct internal node is
-    combined once, however many parents share it.  A first walk counts the
-    child references to each node (a node that is both children of its
-    parent counts twice); the second computes the values in that walk's
-    order.  A value lives only until its last reader has taken it, so
-    memory follows the walk's frontier: on a caterpillar that is one value,
-    not one per node.
-    """
-    if t.left is None:
-        return leaf
-    readers: dict[int, int] = {}
-    order: list[Tree] = []
-    for node in _postorder(t, lambda v: id(v) in readers):
-        readers[id(node)] = 0
-        order.append(node)
-        for child in (node.left, node.right):
-            if child.left is not None:
-                readers[id(child)] += 1
-    values: dict[int, V] = {}
-
-    def take(child: Tree) -> V:
-        if child.left is None:
-            return leaf
-        key = id(child)
-        readers[key] -= 1
-        return values[key] if readers[key] else values.pop(key)
-
-    for node in order:
-        values[id(node)] = combine(node, take(node.left), take(node.right))
-    return values[id(t)]
-
-
 def canonical(t: Tree) -> CanonicalCode:
     """Return the canonical code of ``t``.
 
@@ -159,7 +120,10 @@ def decompose(t: Tree) -> "tuple[Tree, Tree]":
 
 def height(t: Tree) -> int:
     """Edge count from the root to its deepest leaf; a lone leaf has height 0."""
-    return _fold(t, 0, lambda node, left, right: 1 + max(left, right))
+    heights: dict[int, int] = {}
+    for node in _postorder(t, lambda v: id(v) in heights):
+        heights[id(node)] = 1 + max(heights.get(id(node.left), 0), heights.get(id(node.right), 0))
+    return heights.get(id(t), 0)
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:

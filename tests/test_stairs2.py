@@ -236,9 +236,53 @@ def test_direct_equals_term_by_term_on_every_shape_to_twelve():
 
 def test_direct_equals_term_by_term_on_seeded_dags():
     parities = set()
-    for seed in range(60):
+    for seed in range(300):
         t = seeded_dag(seed)
-        assert stairs2_direct(t) == term_by_term(t)
+        assert stairs2_direct(t) == stairs2_recursive(t) == term_by_term(t)
         parities.add(distinct_denominators(t) % 2)
     # An odd count carries a term over at the first level of the product tree.
     assert parities == {0, 1}
+
+
+def assert_all_agree(t):
+    value = term_by_term(t)
+    assert stairs2_direct(t) == stairs2_recursive(t) == value
+    assert stairs2_recursive(unshared(t)) == value
+    return value
+
+
+def test_node_heavy_under_one_parent_and_light_under_another():
+    x = caterpillar(3)
+    heavy_parent = Tree(Tree(), x)
+    light_parent = Tree(x, echelon(5))
+    assert heavy_parent.left.leaf_count < x.leaf_count < light_parent.right.leaf_count
+    assert_all_agree(Tree(heavy_parent, light_parent))
+    assert_all_agree(Tree(light_parent, heavy_parent))
+    # x the heavy child of two parents, with and without a third parent
+    # for which it is light: either way a path stops at x's stored value.
+    second_heavy_parent = Tree(x, Tree())
+    assert_all_agree(Tree(heavy_parent, second_heavy_parent))
+    assert_all_agree(Tree(Tree(heavy_parent, second_heavy_parent), light_parent))
+
+
+def test_equal_leaf_counts_on_both_sides():
+    for a, b in [
+        (caterpillar(5), caterpillar(5)),
+        (caterpillar(4), fully_balanced(2)),
+        (echelon(6), caterpillar(6)),
+    ]:
+        assert a is not b and a.leaf_count == b.leaf_count
+        assert assert_all_agree(Tree(a, b)) == assert_all_agree(Tree(b, a))
+    for a in (caterpillar(5), echelon(7), Tree(caterpillar(3), caterpillar(3))):
+        assert assert_all_agree(Tree(a, a)) == assert_all_agree(Tree(a, unshared(a)))
+
+
+def test_heavy_paths_of_odd_and_even_length():
+    # A caterpillar of n leaves is one heavy path of n - 1 nodes; hanging a
+    # shared cherry off every node makes each map depend on a stored value.
+    for n in range(2, 18):
+        assert_all_agree(caterpillar(n))
+        t = cherry = fully_balanced(1)
+        for _ in range(n - 2):
+            t = Tree(t, cherry)
+        assert_all_agree(t)
