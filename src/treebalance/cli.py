@@ -64,8 +64,8 @@ def _exact_str(value) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _fmt(value: Fraction, digits: int = 10) -> str:
-    return f"{_exact_str(value)} ({decimal_string(value, digits)})"
+def _fmt(value: Fraction) -> str:
+    return f"{_exact_str(value)} ({decimal_string(value)})"
 
 
 def _enum_bound() -> int:
@@ -106,15 +106,16 @@ def cmd_compute(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    takes, other = ("h", "n") if args.shape == "fb" else ("n", "h")
+    if getattr(args, takes) is None:
+        raise ValueError(f"--shape {args.shape} requires --{takes}")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--shape {args.shape} does not take --{other}")
     if args.shape == "fb":
-        if args.h is None:
-            raise ValueError("--shape fb requires --h")
         if args.h > GENERATE_LEAF_CAP.bit_length() - 1:
             raise ValueError(f"2**{args.h} leaves is over the bound of {GENERATE_LEAF_CAP}")
         tree = fully_balanced(args.h)
     else:
-        if args.n is None:
-            raise ValueError(f"--shape {args.shape} requires --n")
         if args.n > GENERATE_LEAF_CAP:
             raise ValueError(f"{args.n} leaves is over the bound of {GENERATE_LEAF_CAP}")
         tree = echelon(args.n) if args.shape == "echelon" else caterpillar(args.n)

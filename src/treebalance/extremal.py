@@ -23,12 +23,12 @@ shapes of that size, so the check uses none of the three formulas.
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .families import caterpillar, echelon
 from .shapes import DEFAULT_ENUM_BOUND, _shapes, enumerate_shapes
-from .tree import CanonicalCode, Tree, canonical
+from .tree import Tree, canonical
 
 _ZERO = Fraction(0)
 
@@ -117,25 +117,23 @@ def max_value_even_recursion(n: int) -> Fraction:
     return ((half - 1) * max_value_recursive(half) + half) / Fraction(n - 1)
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(
+    namedtuple(
+        "ExtremalReport",
+        "n shape_count max_value min_value max_witnesses min_witnesses"
+        " max_unique_and_is_echelon min_unique_and_is_caterpillar subtree_maximality_holds",
+    )
+):
     """Brute-force extremal summary for one leaf count.
 
-    Witness lists hold canonical codes, sorted, one entry per argmax or
-    argmin shape.  The boolean flags record the expected outcome: a unique
-    maximizer equal to the echelon tree, a unique minimizer equal to the
+    ``max_value`` and ``min_value`` are exact Fractions.  Witness lists
+    hold canonical codes, sorted, one entry per argmax or argmin shape.
+    The boolean flags record the expected outcome: a unique maximizer
+    equal to the echelon tree, a unique minimizer equal to the
     caterpillar, and maximizers whose root subtrees are maximizers too.
     """
 
-    n: int
-    shape_count: int
-    max_value: Fraction
-    min_value: Fraction
-    max_witnesses: "tuple[CanonicalCode, ...]"
-    min_witnesses: "tuple[CanonicalCode, ...]"
-    max_unique_and_is_echelon: bool
-    min_unique_and_is_caterpillar: bool
-    subtree_maximality_holds: bool
+    __slots__ = ()
 
 
 def verify_extremal(n: int, bound: int = DEFAULT_ENUM_BOUND) -> ExtremalReport:

@@ -33,7 +33,7 @@ unchanged.  The writer emits only what the parser reads back:
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .tree import Tree, decompose
 
@@ -58,8 +58,7 @@ class NewickArityError(NewickError):
     """A node in the input is not strictly binary."""
 
 
-@dataclass(frozen=True)
-class NewickDocument:
+class NewickDocument(namedtuple("NewickDocument", "shape labels")):
     """A binary tree shape plus optional leaf labels.
 
     ``labels``, when present, gives one label per leaf in the shape's
@@ -67,22 +66,26 @@ class NewickDocument:
     strings, but each must be an unquoted name (see the module docstring),
     so that the written document parses back.  ``labels is None`` means the
     document carries no labels at all (the writer then synthesizes t1, t2,
-    ...); a tuple of empty labels is stored as None.
+    ...); a tuple of empty labels is stored as None.  A document is an
+    immutable named pair; ``_replace`` checks its labels as the
+    constructor does.
     """
 
-    shape: Tree
-    labels: "tuple[str, ...] | None" = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.labels is None:
-            return
-        labels = tuple(self.labels)
-        if len(labels) != self.shape.leaf_count:
-            raise ValueError("need exactly one label per leaf")
-        for label in labels:
-            if not isinstance(label, str) or not _NAME.fullmatch(label):
-                raise ValueError(f"label {label!r} is not an unquoted Newick name")
-        object.__setattr__(self, "labels", labels if any(labels) else None)
+    def __new__(cls, shape: Tree, labels: "tuple[str, ...] | None" = None):
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != shape.leaf_count:
+                raise ValueError("need exactly one label per leaf")
+            for label in labels:
+                if not isinstance(label, str) or not _NAME.fullmatch(label):
+                    raise ValueError(f"label {label!r} is not an unquoted Newick name")
+            labels = labels if any(labels) else None
+        return super().__new__(cls, shape, labels)
+
+    # ``_replace`` builds its result with ``_make``; send that through the checks too.
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def parse_newick(text: str) -> NewickDocument:

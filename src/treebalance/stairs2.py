@@ -12,24 +12,29 @@ balanced trees.
 nodes, each term weighted by how often its node occurs in the unfolded
 tree, so a subtree shared by several parents, as the parser and the
 family generators share equal subtrees, is summed once.  It adds one
-integer numerator per denominator in a product tree whose partial sums
-keep the least common denominator.
+integer numerator per denominator, each partial sum kept over the least
+common denominator of its terms.
 ``stairs2_recursive`` instead applies the equivalent root-decomposition
 rule, with T = (T1, T2), n1 >= n2:
 
     st(T) = ((n1 - 1) st(T1) + (n2 - 1) st(T2) + n2/n1) / (n1 + n2 - 1)
 
 Given st(T2), the rule is an affine map of st(T1), so it composes the
-maps along each heavy path (the chain of larger children) in a product
-tree and applies the result once at the path's head.  Both run in
-near-linear time in the distinct nodes.
+maps along each heavy path (the chain of heavier children from a head)
+and applies the result once at the path's head.  Every internal node is
+a head except one with a single parent whose heavier child it is; the
+function stores one value per head and keeps them until it returns.
 
-The two functions agree exactly on every input; keeping both gives the
-test suite an internal cross-check, so they share only the walk over the
-distinct nodes.  All arithmetic is exact, in integers and rationals,
-never float.
+Both folds, of the sum's terms and of a path's maps, go through one
+balanced product tree (binary splitting), ``_balanced_fold``, so both run
+in near-linear time in the distinct nodes.  The two functions agree
+exactly on every input; keeping both gives the test suite an internal
+cross-check, so they share only the walk over the distinct nodes and
+that fold, which knows neither rule.  All arithmetic is exact, in
+integers and rationals, never float.
 """
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import gcd
 
@@ -65,15 +70,42 @@ def _numerators(t: Tree) -> "dict[int, int]":
     return numerators
 
 
+def _balanced_fold(items: Iterable, combine: Callable):
+    """Fold ``items``, at least one, left to right as ``combine(earlier, later)``
+    in a balanced product tree (binary splitting).
+
+    A binary counter holds at most one partial result per level, the fold
+    of 2**level consecutive items, so k items keep about log2(k) partial
+    results at once and are read as they arrive.  ``combine`` must be
+    associative; it need not be commutative.
+    """
+    pending: list = []
+    for item in items:
+        level = 0
+        while pending and pending[-1][0] == level:
+            level, item = level + 1, combine(pending.pop()[1], item)
+        pending.append((level, item))
+    result = pending.pop()[1]
+    while pending:
+        result = combine(pending.pop()[1], result)
+    return result
+
+
+def _add_over_lcm(s: "tuple[int, int]", u: "tuple[int, int]") -> "tuple[int, int]":
+    """The sum p1/q1 + p2/q2 of two (q, p) terms, over lcm(q1, q2)."""
+    (q1, p1), (q2, p2) = s, u
+    g = gcd(q1, q2)
+    return q1 // g * q2, p1 * (q2 // g) + p2 * (q1 // g)
+
+
 def stairs2_direct(t: Tree) -> Fraction:
     """Index of ``t`` by the defining sum over internal nodes.
 
     The terms min/max are grouped by denominator: each distinct node adds
     its multiplicity in the unfolded tree times min(nL, nR) to one integer
     numerator per max(nL, nR).  The (denominator, numerator) terms are
-    added in a product tree, pairing neighbours level by level and carrying
-    an odd one over (binary splitting).  Each pair is put over the least
-    common multiple of its denominators, so every gcd works on numbers the
+    added by :func:`_balanced_fold`, each sum put over the least common
+    multiple of its two denominators, so every gcd works on numbers the
     size of the reduced result, not of the product of all denominators.
     Time and memory follow the distinct nodes, not the unfolded tree: a
     fully balanced tree of height h has h terms, a caterpillar of n leaves
@@ -82,15 +114,7 @@ def stairs2_direct(t: Tree) -> Fraction:
     """
     if t.is_leaf:
         return _ZERO
-    terms = list(_numerators(t).items())
-    while len(terms) > 1:
-        paired = []
-        for (q1, p1), (q2, p2) in zip(terms[::2], terms[1::2]):
-            g = gcd(q1, q2)
-            q1, q2 = q1 // g, q2 // g
-            paired.append((q1 * q2 * g, p1 * q2 + p2 * q1))
-        terms = paired + terms[2 * len(paired):]
-    q, p = terms[0]
+    q, p = _balanced_fold(_numerators(t).items(), _add_over_lcm)
     return Fraction(p, q * (t.leaf_count - 1))
 
 
@@ -121,66 +145,53 @@ def stairs2_recursive(t: Tree) -> Fraction:
 
         x -> ((n1 - 1) q n1 x + (n2 - 1) p n1 + n2 q) / (q n1 (n - 1)).
 
-    Following heavier children from a head, the root or a lighter child,
-    gives a heavy path; a lighter child has at most half its parent's
-    leaves, so heads nest at most log2(n) deep.  The maps of one path are
-    composed in a product tree, each product divided by the gcd of its
-    three integers, and applied once to the value at the path's end: a
-    leaf, or a node that already has one.  Every node with more than one
-    parent is a head too, so each distinct node lies on one path.  Heads
-    are evaluated children first, and a head's value is dropped when its
-    last parent has read it.  The product tree is built as the maps
-    arrive, so a path of k nodes holds about log2(k) of them at once and
-    memory follows the walk's frontier.  On a parsed 100k-leaf caterpillar
-    it takes 1.2 to 1.5 s in-process (2-vCPU VM, Python 3.11).
+    Following heavier children from a head gives a heavy path.  A node is
+    on its parent's path when it has one parent and is that parent's
+    heavier child; every other internal node is a head: the root, every
+    lighter child, and every node with more than one parent, so each
+    distinct node lies on one path.  A lighter child has at most half its
+    parent's leaves, so heads nest at most log2(n) deep.  Heads are
+    evaluated children first.  The maps of one path are folded by
+    :func:`_balanced_fold`, head side first, each product divided by the
+    gcd of its three integers, and applied once to the value at the path's
+    end: a leaf, or a head below.  A path of k nodes holds a list of its
+    nodes and about log2(k) maps at once; the heads' values are kept until
+    the call returns.  On a
+    parsed 100k-leaf caterpillar it takes 1.2 to 1.5 s in-process (2-vCPU
+    VM, Python 3.11).
     """
     if t.left is None:
         return _ZERO
-    readers: dict[int, int] = {}
-    lighter: set[int] = set()
+    # +1 from a parent that holds the node as its heavier child, +2 from one
+    # that holds it as its lighter child: exactly 1 means not a head.
+    count: dict[int, int] = {}
     order: list[Tree] = []
-    for node in _postorder(t, lambda v: id(v) in readers):
-        readers[id(node)] = 0
+    for node in _postorder(t, lambda v: id(v) in count):
+        count[id(node)] = 0
         order.append(node)
-        for child in (node.left, node.right):
+        for child, weight in zip(_split(node), (1, 2)):
             if child.left is not None:
-                readers[id(child)] += 1
-        light = _split(node)[1]
-        if light.left is not None:
-            lighter.add(id(light))
+                count[id(child)] += weight
     values: dict[int, Fraction] = {}
 
-    def take(child: Tree) -> Fraction:
-        if child.left is None:
-            return _ZERO
-        key = id(child)
-        readers[key] -= 1
-        return values[key] if readers[key] else values.pop(key)
+    def value(v: Tree) -> Fraction:
+        return _ZERO if v.left is None else values[id(v)]
+
+    def root_rule(node: Tree) -> "tuple[int, int, int]":
+        heavy, light = _split(node)
+        n1, n2 = heavy.leaf_count, light.leaf_count
+        x = value(light)
+        p, q = x.numerator, x.denominator
+        return (n1 - 1) * q * n1, (n2 - 1) * p * n1 + n2 * q, q * n1 * (n1 + n2 - 1)
 
     for head in order:
-        # A node whose one reader is the parent it is the heavier child of
-        # lies on that parent's path.  No parent has read ``head`` yet, so
-        # its count is still complete.
-        if readers[id(head)] == 1 and id(head) not in lighter:
+        if count[id(head)] == 1:
             continue
-        # A binary counter of composed maps: ``pending`` holds at most one
-        # per level, the product of 2**level maps, head-side ones first.
-        pending: list[tuple[int, tuple[int, int, int]]] = []
-        node = head
-        while node.left is not None and id(node) not in values:
-            heavy, light = _split(node)
-            n1, n2 = heavy.leaf_count, light.leaf_count
-            x = take(light)
-            p, q = x.numerator, x.denominator
-            level, m = 0, ((n1 - 1) * q * n1, (n2 - 1) * p * n1 + n2 * q, q * n1 * (n1 + n2 - 1))
-            while pending and pending[-1][0] == level:
-                level, m = level + 1, _compose(pending.pop()[1], m)
-            pending.append((level, m))
-            node = heavy
-        a, b, d = pending.pop()[1]
-        while pending:
-            a, b, d = _compose(pending.pop()[1], (a, b, d))
-        x = take(node)
+        path, end = [head], _split(head)[0]
+        while count.get(id(end)) == 1:  # a leaf has no count
+            path.append(end)
+            end = _split(end)[0]
+        a, b, d = _balanced_fold(map(root_rule, path), _compose)
+        x = value(end)
         values[id(head)] = Fraction(a * x.numerator + b * x.denominator, d * x.denominator)
-    return values.pop(id(t))
-
+    return values[id(t)]

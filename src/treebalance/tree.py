@@ -16,7 +16,7 @@ the length of the call.  Both index evaluations in ``stairs2`` use the
 same walk.
 """
 
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 #: Canonical codes are strings over "0"/"1"; equal codes mean equal shapes.
 CanonicalCode = str

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -156,6 +158,21 @@ class TestGenerate:
     def test_fb_needs_height(self, capsys):
         rc, _, err = run(capsys, ["generate", "--shape", "fb", "--n", "4"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--shape", "echelon", "--n", "5", "--h", "3"], "--h"),
+            (["--shape", "caterpillar", "--h", "3", "--n", "5"], "--h"),
+            (["--shape", "fb", "--h", "2", "--n", "9"], "--n"),
+        ],
+        ids=["echelon", "caterpillar", "fb"],
+    )
+    def test_flag_of_the_other_shapes_refused(self, capsys, argv, flag):
+        rc, out, err = run(capsys, ["generate", *argv])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --shape {argv[1]} does not take {flag}\n"
 
     def test_fb_over_height_bound(self, capsys):
         rc, _, err = run(capsys, ["generate", "--shape", "fb", "--h", "31"])
@@ -428,3 +445,18 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # Every treebalance process pays for what the CLI imports; under -S no
+    # site-packages module can pull these in either.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, treebalance.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

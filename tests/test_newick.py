@@ -164,6 +164,12 @@ class TestWrite:
         assert doc.labels is None
         assert write_newick(doc) == "(t1,t2);"
 
+    def test_replace_checks_labels(self):
+        doc = NewickDocument(Tree(Tree(), Tree()), ("a", "c"))
+        with pytest.raises(ValueError):
+            doc._replace(labels=("a b", "c"))
+        assert doc._replace(labels=("", "")).labels is None
+
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
             NewickDocument(Tree(Tree(), Tree()), ("only-one",))

@@ -135,11 +135,42 @@ def test_heavily_shared_subtrees_stay_cheap():
     assert height(t) == 30
 
 
-@pytest.mark.parametrize("fn", [stairs2_direct, stairs2_recursive])
-def test_memory_follows_the_frontier_not_the_tree(fn):
-    # A caterpillar's partial sums reach O(n) bits, so keeping one per node
-    # until the end peaks at 44 MB here; the last reader drops each one.
-    t = caterpillar(15000)
+def random_split_tree(n, seed):
+    """A tree of ``n`` leaves in which every node splits its leaves at a
+    uniformly random point (the Yule model), built without recursion and
+    with no shared subtrees."""
+    rng = random.Random(seed)
+    built = []
+    stack = [(n, False)]
+    while stack:
+        m, ready = stack.pop()
+        if m == 1:
+            built.append(Tree())
+        elif ready:
+            right = built.pop()
+            built.append(Tree(built.pop(), right))
+        else:
+            k = rng.randrange(1, m)
+            stack += [(m, True), (m - k, False), (k, False)]
+    return built[0]
+
+
+@pytest.mark.parametrize(
+    "fn,shape",
+    [
+        pytest.param(fn, shape, id=fn.__name__ + suffix)
+        for shape, suffix in (("caterpillar", ""), ("random split", "-random-split"))
+        for fn in (stairs2_direct, stairs2_recursive)
+    ],
+)
+def test_memory_follows_the_frontier_not_the_tree(fn, shape):
+    # A caterpillar is one heavy path, and its exact partial sums and
+    # composed maps reach O(n) bits, so a fold that held one per node would
+    # take O(n**2) bits here; the balanced fold holds about log2(n) at once.
+    # The random split tree has about 5000 heads, whose values the
+    # recursive evaluation keeps until it returns: each is a lighter child
+    # with at most half its parent's leaves, so together they stay small.
+    t = caterpillar(15000) if shape == "caterpillar" else random_split_tree(15000, seed=1)
     tracemalloc.start()
     try:
         fn(t)
