@@ -20,12 +20,14 @@ from .extremal import (
     verify_extremal,
 )
 from .families import caterpillar, echelon, fully_balanced
-from .newick import NewickDocument, parse_newick, write_newick
+from .newick import NewickDocument, parse_newick, write_newick, write_shapes
 from .shapes import DEFAULT_ENUM_BOUND, count_shapes, enumerate_shapes
 from .stairs2 import stairs2_direct, stairs2_recursive
-from .tree import canonical
 
 TABLE_RANGE_CAP = 10**6
+#: Most significant digits ``table --precision`` renders; ``decimal`` refuses
+#: more than ``decimal.MAX_PREC``, with a traceback past the C integer range.
+TABLE_PRECISION_CAP = 10**4
 #: Most leaves ``generate`` writes; the unfolded output costs memory per leaf.
 GENERATE_LEAF_CAP = 2**22
 #: Most leaves ``enumerate`` counts; the count costs about n**3.6 bit operations.
@@ -191,8 +193,8 @@ def cmd_table(args) -> int:
     lo, hi = args.from_n, args.to_n
     if not (1 <= lo <= hi <= TABLE_RANGE_CAP):
         raise ValueError(f"need 1 <= from <= to <= {TABLE_RANGE_CAP}")
-    if args.precision < 1:  # before the header, so stdout stays empty
-        raise ValueError("need at least one significant digit")
+    if not 1 <= args.precision <= TABLE_PRECISION_CAP:  # before the header: stdout stays empty
+        raise ValueError(f"need 1 to {TABLE_PRECISION_CAP} significant digits")
     sep = {"csv": ",", "tsv": "\t", "plain": " "}[args.format]
     if args.format != "plain":
         print(sep.join(("n", "st2_max_exact", "st2_max_decimal")))
@@ -207,10 +209,8 @@ def cmd_table(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.emit_newick:
-        bound = _enum_bound()
-        shapes = sorted(enumerate_shapes(args.n, bound), key=canonical)
-        for shape in shapes:
-            print(write_newick(NewickDocument(shape)))
+        for line in write_shapes(enumerate_shapes(args.n, _enum_bound())):
+            print(line)
         return 0
     if args.n > COUNT_LEAF_CAP:
         raise ValueError(f"{args.n} leaves is over the bound of {COUNT_LEAF_CAP}")

@@ -34,8 +34,9 @@ unchanged.  The writer emits only what the parser reads back:
 
 import re
 from collections import namedtuple
+from collections.abc import Iterator
 
-from .tree import Tree, decompose
+from .tree import Tree, _postorder, decompose
 
 # An unquoted name, shared by the parser's scanner and the label check;
 # ``\s`` matches exactly the characters for which ``str.isspace`` is true.
@@ -160,7 +161,9 @@ def write_newick(doc: NewickDocument) -> str:
     Children are emitted in canonical order (larger subtree first, code as
     tie-break), so unlabeled output is deterministic per shape; labels
     follow their leaves through the reordering.  Missing labels come out
-    as t1, t2, ... numbered in output order.  No branch lengths.
+    as t1, t2, ... numbered in output order.  No branch lengths.  For
+    many small unlabeled shapes that share subtrees, such as a full
+    enumeration, :func:`write_shapes` writes them all at once.
     """
     shape, labels = doc.shape, doc.labels
     out: list[str] = []
@@ -191,3 +194,66 @@ def write_newick(doc: NewickDocument) -> str:
         stack.append((first, first_off))
         stack.append("(")
     return "".join(out) + ";"
+
+
+def write_shapes(shapes) -> "Iterator[str]":
+    """Yield unlabeled shapes as Newick lines, sorted by canonical code.
+
+    The lines are those of ``[write_newick(NewickDocument(s)) for s in
+    sorted(shapes, key=canonical)]``, but no canonical code is built and
+    each distinct subtree is written once.  Every distinct node, keyed by
+    identity, is rendered as a template: a leaf is ``"%s"`` and an
+    internal node ``"(" + T(first) + "," + T(second) + ")"``, where
+    ``first`` is the child with more leaves or, on a tie, the one with the
+    smaller template.  A line is its shape's pair filled, with one ``%``,
+    by t1, t2, ... in order; a lone leaf is ``t1;``.
+
+    The output order rests on this: template order is canonical-code
+    order.  A template and a code are both preorder serializations of one
+    ordered tree.  The code writes ``"0"`` per leaf and ``"1"`` per
+    internal node; the template writes ``"%s"`` and ``"("``, and its
+    commas and closing parentheses follow from the nodes before them.  So
+    two different shapes give the same text up to the first node, in
+    preorder, that is a leaf in one and internal in the other, and there
+    ``"%"`` < ``"("`` just as ``"0"`` < ``"1"``.  By induction on size the
+    tie rule puts children in ``decompose``'s order, and sorting the
+    ``(T(first), T(second))`` pairs sorts the shapes as their codes do.
+
+    A template holds its whole subtree, so the cost is the total length
+    of the distinct templates: fine for many small shapes, quadratic on a
+    caterpillar.  Single documents, labels and deep trees belong to
+    :func:`write_newick`.
+    """
+    # The tuple keeps every node alive for the call, so identities stay unique.
+    shapes = tuple(shapes)
+    templates: "dict[int, str]" = {}
+
+    def pair(node: Tree) -> "tuple[str, str]":
+        a, b = node.left, node.right
+        ta = "%s" if a.left is None else templates[id(a)]
+        tb = "%s" if b.left is None else templates[id(b)]
+        if a.leaf_count < b.leaf_count or (a.leaf_count == b.leaf_count and tb < ta):
+            return tb, ta
+        return ta, tb
+
+    def rendered(node: Tree) -> bool:
+        return id(node) in templates
+
+    keys = []
+    for shape in shapes:
+        if shape.left is None:
+            keys.append(("%s", "", 1))  # sorts before every pair, as "0" does
+            continue
+        for child in (shape.left, shape.right):
+            if child.left is not None and id(child) not in templates:
+                for node in _postorder(child, rendered):
+                    first, second = pair(node)
+                    templates[id(node)] = "(" + first + "," + second + ")"
+        keys.append((*pair(shape), shape.leaf_count))
+    keys.sort()
+    names: "dict[int, tuple[str, ...]]" = {}
+    for first, second, n in keys:
+        if n not in names:
+            names[n] = tuple(f"t{i}" for i in range(1, n + 1))
+        template = "(" + first + "," + second + ");" if second else "%s;"
+        yield template % names[n]

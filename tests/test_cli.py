@@ -11,7 +11,8 @@ from treebalance import cli
 from treebalance.cli import decimal_string, main
 from treebalance.families import caterpillar
 from treebalance.newick import NewickDocument, write_newick
-from treebalance.shapes import count_shapes
+from treebalance.shapes import count_shapes, enumerate_shapes
+from treebalance.tree import canonical
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -358,6 +359,19 @@ class TestTable:
         assert out == ""
         assert "significant digit" in err
 
+    @pytest.mark.parametrize("precision", [str(cli.TABLE_PRECISION_CAP + 1), str(10**21)])
+    def test_precision_above_the_cap_prints_nothing(self, capsys, precision):
+        rc, out, err = run(capsys, ["table", "--from", "3", "--to", "3", "--precision", precision])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: need 1 to {cli.TABLE_PRECISION_CAP} significant digits\n"
+
+    def test_precision_at_the_cap_accepted(self, capsys):
+        cap = cli.TABLE_PRECISION_CAP
+        rc, out, _ = run(capsys, ["table", "--from", "3", "--to", "3", "--precision", str(cap)])
+        assert rc == 0
+        assert out.splitlines()[1] == "3,3/4,0.75" + "0" * (cap - 2)
+
     @pytest.mark.parametrize("lo,hi", [(0, 2), (3, 2), (1, 10**6 + 1)])
     def test_bad_ranges_rejected(self, capsys, lo, hi):
         rc, _, _ = run(capsys, ["table", "--from", str(lo), "--to", str(hi)])
@@ -426,6 +440,13 @@ class TestEnumerate:
         rc, out, _ = run(capsys, ["enumerate", "--n", "4", "--emit-newick"])
         assert rc == 0
         assert out.splitlines() == ["((t1,t2),(t3,t4));", "(((t1,t2),t3),t4);"]
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_emit_newick_equals_writing_the_sorted_shapes(self, capsys, n):
+        shapes = sorted(enumerate_shapes(n), key=canonical)
+        rc, out, _ = run(capsys, ["enumerate", "--n", str(n), "--emit-newick"])
+        assert rc == 0
+        assert out == "".join(write_newick(NewickDocument(s)) + "\n" for s in shapes)
 
     def test_emit_respects_bound(self, capsys):
         rc, _, _ = run(capsys, ["enumerate", "--n", "19", "--emit-newick"])

@@ -10,9 +10,10 @@ from treebalance.newick import (
     NewickError,
     parse_newick,
     write_newick,
+    write_shapes,
 )
 from treebalance.shapes import enumerate_shapes
-from treebalance.tree import Tree, _postorder, is_isomorphic
+from treebalance.tree import Tree, _postorder, canonical, is_isomorphic
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=24)
 # Mostly readable characters, so that many documents get past construction.
@@ -207,6 +208,36 @@ class TestRoundTrip:
         doc = parse_newick("((alpha,beta),gamma);")
         again = parse_newick(write_newick(doc))
         assert again.labels == ("alpha", "beta", "gamma")
+
+
+def written_in_code_order(shapes):
+    """The reference for ``write_shapes``: sort by canonical code, write each."""
+    return [write_newick(NewickDocument(s)) for s in sorted(shapes, key=canonical)]
+
+
+def swapped_copy(t, rng):
+    """A copy of ``t`` built from new nodes, children swapped at random."""
+    if t.is_leaf:
+        return Tree()
+    a, b = swapped_copy(t.left, rng), swapped_copy(t.right, rng)
+    return Tree(b, a) if rng.random() < 0.5 else Tree(a, b)
+
+
+class TestWriteShapes:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_child_swapped_copies_in_shuffled_order(self, n):
+        # New nodes in another order: neither the cache's child order nor its
+        # shape order can carry the result.
+        rng = random.Random(n)
+        copies = [swapped_copy(s, rng) for s in enumerate_shapes(n)]
+        rng.shuffle(copies)
+        assert list(write_shapes(copies)) == written_in_code_order(enumerate_shapes(n))
+
+    def test_mixed_leaf_counts_sort_as_their_codes(self):
+        shapes = [s for n in range(1, 8) for s in enumerate_shapes(n)]
+        shapes += [Tree(), echelon(5)]
+        random.Random(0).shuffle(shapes)
+        assert list(write_shapes(iter(shapes))) == written_in_code_order(shapes)
 
 
 def yule_newick(seed, leaves):
