@@ -8,6 +8,7 @@ All output is deterministic for a given set of flags.
 """
 
 import argparse
+import io
 import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -81,8 +82,10 @@ def _enum_bound() -> int:
 
 
 def _read_input(path: str) -> str:
+    # Strict UTF-8 with universal newlines either way: sys.stdin itself
+    # follows the locale and may turn undecodable bytes into surrogates.
     if path == "-":
-        return sys.stdin.read()
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8").read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 

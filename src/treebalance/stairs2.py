@@ -29,8 +29,9 @@ Both folds, of the sum's terms and of a path's maps, go through one
 balanced product tree (binary splitting), ``_balanced_fold``, so both run
 in near-linear time in the distinct nodes.  The two functions agree
 exactly on every input; keeping both gives the test suite an internal
-cross-check, so they share only the walk over the distinct nodes and
-that fold, which knows neither rule.  All arithmetic is exact, in
+cross-check, so they share only that fold, which knows neither rule,
+and ``tree._postorder``, which lists each distinct node once, children
+first.  All arithmetic is exact, in
 integers and rationals, never float.
 """
 
@@ -47,26 +48,23 @@ def _numerators(t: Tree) -> "dict[int, int]":
     """Map each denominator q = max(nL, nR) of an internal node of ``t`` to
     the sum of min(nL, nR) over the nodes of the unfolded tree with that q.
 
-    One walk lists the distinct internal nodes, children first.  A pass in
-    reverse order, parents first, adds each node's multiplicity in the
+    One pass over ``_postorder``'s list in reverse, parents first, starts
+    the root at multiplicity 1, adds each node's multiplicity in the
     unfolded tree to its children's (twice to a child that is both) and
-    multiplicity * min(nL, nR) to its numerator.  ``t`` must not be a leaf.
+    multiplicity * min(nL, nR) to its numerator; every parent of a node
+    comes before it, so its multiplicity is complete when it is read.
+    ``t`` must not be a leaf.
     """
-    multiplicity: dict[int, int] = {}
-    order: list[Tree] = []
-    for node in _postorder(t, lambda v: id(v) in multiplicity):
-        multiplicity[id(node)] = 0
-        order.append(node)
-    multiplicity[id(t)] = 1
+    multiplicity = {id(t): 1}
     numerators: dict[int, int] = {}
-    for node in reversed(order):
+    for node in reversed(_postorder(t)):
         m = multiplicity.pop(id(node))
         na, nb = node.left.leaf_count, node.right.leaf_count
         lo, hi = (na, nb) if na <= nb else (nb, na)
         numerators[hi] = numerators.get(hi, 0) + m * lo
         for child in (node.left, node.right):
             if child.left is not None:
-                multiplicity[id(child)] += m
+                multiplicity[id(child)] = multiplicity.get(id(child), 0) + m
     return numerators
 
 
@@ -150,8 +148,9 @@ def stairs2_recursive(t: Tree) -> Fraction:
     heavier child; every other internal node is a head: the root, every
     lighter child, and every node with more than one parent, so each
     distinct node lies on one path.  A lighter child has at most half its
-    parent's leaves, so heads nest at most log2(n) deep.  Heads are
-    evaluated children first.  The maps of one path are folded by
+    parent's leaves, so heads nest at most log2(n) deep.  One pass over
+    ``_postorder``'s list counts each node's parents; a second takes the
+    heads in the same order, children first.  The maps of one path are folded by
     :func:`_balanced_fold`, head side first, each product divided by the
     gcd of its three integers, and applied once to the value at the path's
     end: a leaf, or a head below.  A path of k nodes holds a list of its
@@ -164,14 +163,12 @@ def stairs2_recursive(t: Tree) -> Fraction:
         return _ZERO
     # +1 from a parent that holds the node as its heavier child, +2 from one
     # that holds it as its lighter child: exactly 1 means not a head.
+    order = _postorder(t)
     count: dict[int, int] = {}
-    order: list[Tree] = []
-    for node in _postorder(t, lambda v: id(v) in count):
-        count[id(node)] = 0
-        order.append(node)
+    for node in order:
         for child, weight in zip(_split(node), (1, 2)):
             if child.left is not None:
-                count[id(child)] += weight
+                count[id(child)] = count.get(id(child), 0) + weight
     values: dict[int, Fraction] = {}
 
     def value(v: Tree) -> Fraction:
@@ -185,10 +182,10 @@ def stairs2_recursive(t: Tree) -> Fraction:
         return (n1 - 1) * q * n1, (n2 - 1) * p * n1 + n2 * q, q * n1 * (n1 + n2 - 1)
 
     for head in order:
-        if count[id(head)] == 1:
+        if count.get(id(head)) == 1:  # the root has no count
             continue
         path, end = [head], _split(head)[0]
-        while count.get(id(end)) == 1:  # a leaf has no count
+        while count.get(id(end)) == 1:  # nor has a leaf
             path.append(end)
             end = _split(end)[0]
         a, b, d = _balanced_fold(map(root_rule, path), _compose)

@@ -8,15 +8,16 @@ the other by swapping children at any set of nodes.
 Instances are immutable and may freely share subtree objects (the family
 generators rely on this), so every structural operation here walks each
 distinct node at most once, keyed by identity, instead of recursing over
-the unfolded tree.  That walk is written once, in ``_postorder``: an
-explicit stack rather than recursion, so arbitrarily deep trees such as
-large caterpillars are safe.  ``canonical`` caches its codes on the
-nodes, across calls; ``height`` keeps one integer per distinct node for
-the length of the call.  Both index evaluations in ``stairs2`` use the
-same walk.
+the unfolded tree.  That walk is written once, in ``_postorder``, which
+returns the distinct internal nodes children first and does its own
+deduplication: an explicit stack rather than recursion, so arbitrarily
+deep trees such as large caterpillars are safe.  ``canonical`` caches its
+codes on the nodes, across calls; ``height`` keeps one integer per
+distinct node for the length of the call.  Both index evaluations in
+``stairs2`` and ``newick.write_shapes`` use the same walk.
 """
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 #: Canonical codes are strings over "0"/"1"; equal codes mean equal shapes.
 CanonicalCode = str
@@ -61,26 +62,29 @@ class Tree:
         return f"<Tree with {self.leaf_count} leaves>"
 
 
-def _postorder(t: Tree, done: "Callable[[Tree], bool]") -> "Iterator[Tree]":
-    """Yield the internal nodes of ``t``, each one after both of its children.
+def _postorder(t: Tree, done: "Callable[[Tree], bool] | None" = None) -> "list[Tree]":
+    """The distinct internal nodes of ``t``, by identity, each after both of
+    its children; reversed, every node comes before its children.
 
-    A node for which ``done(node)`` is true is skipped together with
-    everything below it.  Callers record each yielded node, so that ``done``
-    becomes true for it, before asking for the next one; a subtree shared
-    by several parents is then yielded once.  Reversed, the order has every
-    node before its children.
+    A subtree shared by several parents appears once.  ``done`` marks nodes
+    that an earlier call already handled: a node for which it holds is left
+    out together with everything below it.
     """
+    order: list[Tree] = []
+    expanded: set[int] = set()
     stack = [(t, False)]
     while stack:
         node, ready = stack.pop()
-        if node.left is None or done(node):
-            continue
         if ready:
-            yield node
-        else:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
+            order.append(node)
+            continue
+        # A node expanded earlier is in ``order`` already: were it not, the
+        # parent that pushed it again would lie below it.
+        if node.left is None or id(node) in expanded or (done is not None and done(node)):
+            continue
+        expanded.add(id(node))
+        stack += (node, True), (node.left, False), (node.right, False)
+    return order
 
 
 def canonical(t: Tree) -> CanonicalCode:
@@ -121,11 +125,14 @@ def decompose(t: Tree) -> "tuple[Tree, Tree]":
 def height(t: Tree) -> int:
     """Edge count from the root to its deepest leaf; a lone leaf has height 0."""
     heights: dict[int, int] = {}
-    for node in _postorder(t, lambda v: id(v) in heights):
+    for node in _postorder(t):
         heights[id(node)] = 1 + max(heights.get(id(node.left), 0), heights.get(id(node.right), 0))
     return heights.get(id(t), 0)
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:
-    """True when the two trees are the same shape (children unordered)."""
-    return canonical(t1) == canonical(t2)
+    """True when the two trees are the same shape (children unordered).
+
+    An alias of ``t1 == t2``, kept as public API.
+    """
+    return t1 == t2

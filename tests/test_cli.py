@@ -15,9 +15,13 @@ from treebalance.shapes import count_shapes, enumerate_shapes
 from treebalance.tree import canonical
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        # Like the real sys.stdin, a text stream over a byte buffer.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8"))))
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
@@ -133,6 +137,31 @@ class TestCompute:
         rc, _, err = run(capsys, ["compute", "-"], "(A,B,C);", monkeypatch)
         assert rc == 2
         assert "more than two children" in err
+
+    @pytest.mark.parametrize(
+        "data, expected_rc",
+        [(b"(A\xff,B);", 2), (b"\xef\xbb\xbf(A,\r\n(B,C));\r\n", 0)],
+        ids=["invalid-utf8", "bom-crlf"],
+    )
+    def test_stdin_decodes_as_a_file_does(self, tmp_path, data, expected_rc):
+        # Under the C locale sys.stdin would map bad bytes to surrogates.
+        path = tmp_path / "input.nwk"
+        path.write_bytes(data)
+        env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C"}
+        env.pop("PYTHONIOENCODING", None)
+        argv = [sys.executable, "-m", "treebalance", "compute"]
+        piped = subprocess.run([*argv, "-"], input=data, env=env, capture_output=True)
+        from_file = subprocess.run([*argv, str(path)], env=env, capture_output=True)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            from_file.returncode,
+            from_file.stdout,
+            from_file.stderr,
+        )
+        assert piped.returncode == expected_rc
+        if expected_rc:
+            assert piped.stdout == b"" and piped.stderr.count(b"\n") == 1
+        else:
+            assert piped.stdout == b"3/4 (0.7500000000)\n" and piped.stderr == b""
 
 
 class TestGenerate:
@@ -471,11 +500,10 @@ def test_usage_error_exits_two(capsys):
 def test_cli_imports_no_dataclasses_inspect_or_typing():
     # Every treebalance process pays for what the CLI imports; under -S no
     # site-packages module can pull these in either.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import sys, treebalance.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         check=True,

@@ -276,10 +276,7 @@ def balanced_newick(h):
 
 def distinct_nodes(t):
     """The distinct internal node objects of ``t`` and the ids of its leaf objects."""
-    seen: dict = {}
-    for node in _postorder(t, lambda v: id(v) in seen):
-        seen[id(node)] = node
-    internal = list(seen.values())
+    internal = _postorder(t)
     leaves = {id(c) for v in internal for c in (v.left, v.right) if c.is_leaf}
     return internal, leaves
 

@@ -69,12 +69,7 @@ def seeded_dag(seed):
 
 
 def distinct_denominators(t):
-    seen = set()
-    dens = set()
-    for node in _postorder(t, lambda v: id(v) in seen):
-        seen.add(id(node))
-        dens.add(max(node.left.leaf_count, node.right.leaf_count))
-    return len(dens)
+    return len({max(node.left.leaf_count, node.right.leaf_count) for node in _postorder(t)})
 
 
 # Brute-force values, frozen from exhaustive scoring of the unique shapes.

@@ -13,6 +13,9 @@ from treebalance.tree import (
 )
 from treebalance.families import caterpillar, echelon, fully_balanced
 
+from test_families import distinct_internal_nodes
+from test_stairs2 import seeded_dag
+
 # Random unaliased shapes, up to 32 leaves.
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=32)
 
@@ -107,23 +110,53 @@ class TestHeight:
         assert height(caterpillar(5000)) == 4999
 
 
+def assert_each_once_children_first(t, order):
+    # With the root listed and every internal child of a listed node listed
+    # (the lookup below), the list holds every node reachable from t.
+    assert order[-1] is t
+    assert len({id(v) for v in order}) == len(order) == distinct_internal_nodes(t)
+    position = {id(v): i for i, v in enumerate(reversed(order))}
+    for v in order:
+        for child in (v.left, v.right):
+            if child.left is not None:
+                assert position[id(v)] < position[id(child)]
+
+
 class TestPostorder:
     def test_shared_node_under_two_parents_is_yielded_once(self):
         s = cherry()
         a, b = Tree(s, Tree()), Tree(s, Tree())
         r = Tree(a, b)
-        # Identities, not trees: a and b are the same shape, so they compare equal.
-        order = []
-        for node in _postorder(r, lambda v: id(v) in order):
-            assert all(c.left is None or id(c) in order for c in (node.left, node.right))
-            order.append(id(node))
-        assert sorted(order) == sorted(map(id, (r, a, b, s)))
+        order = _postorder(r)
+        assert len(order) == 4
+        assert_each_once_children_first(r, order)
+
+    def test_node_pushed_twice_before_its_first_expansion(self):
+        # The root pushes s, then a pushes s again above it; s is expanded
+        # from a's push and skipped when the root's push comes up.
+        s = cherry()
+        a = Tree(s, Tree())
+        r = Tree(s, a)
+        assert [id(v) for v in _postorder(r)] == [id(s), id(a), id(r)]
+
+    def test_node_that_is_both_children(self):
+        s = cherry()
+        r = Tree(s, s)
+        assert [id(v) for v in _postorder(r)] == [id(s), id(r)]
+
+    def test_done_leaves_out_a_node_and_everything_below_it(self):
+        s = cherry()
+        known = Tree(s, Tree())
+        r = Tree(known, cherry())
+        assert [id(v) for v in _postorder(r, lambda v: v is known)] == [id(r.right), id(r)]
+
+    def test_seeded_dags(self):
+        for seed in range(30):
+            t = seeded_dag(seed)
+            assert_each_once_children_first(t, _postorder(t))
 
     def test_deep_caterpillar_needs_no_recursion(self):
-        seen = set()
-        for node in _postorder(caterpillar(10**5), lambda v: id(v) in seen):
-            seen.add(id(node))
-        assert len(seen) == 10**5 - 1
+        assert len(_postorder(caterpillar(10**5))) == 10**5 - 1
 
 
 class TestCanonical:
