@@ -200,24 +200,23 @@ def write_shapes(shapes) -> "Iterator[str]":
     """Yield unlabeled shapes as Newick lines, sorted by canonical code.
 
     The lines are those of ``[write_newick(NewickDocument(s)) for s in
-    sorted(shapes, key=canonical)]``, but no canonical code is built and
-    each distinct subtree is written once.  Every distinct node, keyed by
+    sorted(shapes, key=canonical)]``, but each distinct subtree is written
+    once, and canonical codes are built only for tied siblings, by
+    :func:`~treebalance.tree.decompose`.  Every distinct node, keyed by
     identity, is rendered as a template: a leaf is ``"%s"`` and an
-    internal node ``"(" + T(first) + "," + T(second) + ")"``, where
-    ``first`` is the child with more leaves or, on a tie, the one with the
-    smaller template.  A line is its shape's pair filled, with one ``%``,
-    by t1, t2, ... in order; a lone leaf is ``t1;``.
+    internal node ``"(" + T(first) + "," + T(second) + ")"`` with ``first,
+    second = decompose(node)``.  A line is its shape's pair filled, with
+    one ``%``, by t1, t2, ... in order; a lone leaf is ``t1;``.
 
-    The output order rests on this: template order is canonical-code
-    order.  A template and a code are both preorder serializations of one
-    ordered tree.  The code writes ``"0"`` per leaf and ``"1"`` per
-    internal node; the template writes ``"%s"`` and ``"("``, and its
-    commas and closing parentheses follow from the nodes before them.  So
-    two different shapes give the same text up to the first node, in
-    preorder, that is a leaf in one and internal in the other, and there
-    ``"%"`` < ``"("`` just as ``"0"`` < ``"1"``.  By induction on size the
-    tie rule puts children in ``decompose``'s order, and sorting the
-    ``(T(first), T(second))`` pairs sorts the shapes as their codes do.
+    Sorting the ``(T(first), T(second))`` pairs sorts the shapes as their
+    codes do, because template order is canonical-code order.  A template
+    and a code are both preorder serializations of one ordered tree.  The
+    code writes ``"0"`` per leaf and ``"1"`` per internal node; the
+    template writes ``"%s"`` and ``"("``, and its commas and closing
+    parentheses follow from the nodes before them.  So two different
+    shapes give the same text up to the first node, in preorder, that is
+    a leaf in one and internal in the other, and there ``"%"`` < ``"("``
+    just as ``"0"`` < ``"1"``.
 
     A template holds its whole subtree, so the cost is the total length
     of the distinct templates: fine for many small shapes, quadratic on a
@@ -229,12 +228,9 @@ def write_shapes(shapes) -> "Iterator[str]":
     templates: "dict[int, str]" = {}
 
     def pair(node: Tree) -> "tuple[str, str]":
-        a, b = node.left, node.right
-        ta = "%s" if a.left is None else templates[id(a)]
-        tb = "%s" if b.left is None else templates[id(b)]
-        if a.leaf_count < b.leaf_count or (a.leaf_count == b.leaf_count and tb < ta):
-            return tb, ta
-        return ta, tb
+        first, second = decompose(node)
+        # Only internal nodes have entries; a leaf's template is "%s".
+        return templates.get(id(first), "%s"), templates.get(id(second), "%s")
 
     def rendered(node: Tree) -> bool:
         return id(node) in templates

@@ -108,9 +108,10 @@ def decompose(t: Tree) -> "tuple[Tree, Tree]":
     """Split ``t`` into its two maximal pending subtrees, larger one first.
 
     Ties in leaf count are broken by canonical code, so the returned pair
-    is deterministic per shape; this is the sibling order of ``canonical``
-    and of the Newick writer.  The identity fast path avoids building codes
-    for aliased pairs.  Raises ValueError on a leaf.
+    is deterministic per shape; this is the package's one sibling order,
+    which ``canonical`` and both Newick writers take.  The identity fast
+    path avoids building codes for aliased pairs.  Raises ValueError on a
+    leaf.
     """
     a, b = t.left, t.right
     if a is None:

@@ -233,6 +233,15 @@ class TestWriteShapes:
         rng.shuffle(copies)
         assert list(write_shapes(copies)) == written_in_code_order(enumerate_shapes(n))
 
+    def test_codes_only_for_tied_siblings(self):
+        # decompose codes only equal-size siblings, each at most half the
+        # shape; sorting by canonical would code every shape.
+        rng = random.Random(12)
+        copies = [swapped_copy(s, rng) for s in enumerate_shapes(12)]
+        list(write_shapes(copies))
+        large = [v for c in copies for v in _postorder(c) if v.leaf_count > 6]
+        assert large and all(v._code is None for v in large)
+
     def test_mixed_leaf_counts_sort_as_their_codes(self):
         shapes = [s for n in range(1, 8) for s in enumerate_shapes(n)]
         shapes += [Tree(), echelon(5)]

@@ -14,6 +14,7 @@ from treebalance.tree import (
 from treebalance.families import caterpillar, echelon, fully_balanced
 
 from test_families import distinct_internal_nodes
+from test_newick import swapped_copy
 from test_stairs2 import seeded_dag
 
 # Random unaliased shapes, up to 32 leaves.
@@ -35,14 +36,6 @@ def internal_occurrences(t):
             stack.append(node.left)
             stack.append(node.right)
     return count
-
-
-def scrambled(t, rng):
-    """Same shape, children randomly swapped at every node."""
-    if t.left is None:
-        return Tree()
-    a, b = scrambled(t.left, rng), scrambled(t.right, rng)
-    return Tree(b, a) if rng.random() < 0.5 else Tree(a, b)
 
 
 class TestConstruction:
@@ -174,7 +167,7 @@ class TestCanonical:
 
     @given(trees, st.integers(0, 2**32 - 1))
     def test_invariant_under_any_reordering(self, t, seed):
-        assert canonical(scrambled(t, random.Random(seed))) == canonical(t)
+        assert canonical(swapped_copy(t, random.Random(seed))) == canonical(t)
 
 
 class TestIsomorphism:
