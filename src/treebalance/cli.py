@@ -164,8 +164,7 @@ def cmd_verify(args) -> int:
     if args.max_n < 2 or args.max_n > bound:
         raise ValueError(f"--max-n must be between 2 and {bound}")
     all_ok = True
-    for n in range(2, args.max_n + 1):
-        r = verify_extremal(n, bound=bound)
+    for r in verify_extremal(args.max_n, bound=bound):
         print(
             f"n={r.n} shapes={r.shape_count} max={_fmt(r.max_value)} "
             f"echelon_max={_flag(r.max_unique_and_is_echelon)} "
@@ -177,10 +176,10 @@ def cmd_verify(args) -> int:
             and r.min_unique_and_is_caterpillar
             and r.subtree_maximality_holds
         )
-        for name, value in _formula_values(n).items():
+        for name, value in _formula_values(r.n).items():
             if value != r.max_value:
                 print(
-                    f"error: n={n}: the {name} formula gives {value}, "
+                    f"error: n={r.n}: the {name} formula gives {value}, "
                     f"enumeration gives {r.max_value}",
                     file=sys.stderr,
                 )

@@ -14,16 +14,18 @@ n: the first two make one loop over n's set bits, O(popcount n) integer
 steps, with no memo, so nothing is kept between calls.
 
 ``verify_extremal`` is the ground truth at small n: it scores every shape
-exactly and reports whether the maximizer is unique and is the echelon
-tree, whether the minimizer is unique and is the caterpillar, and whether
-both root subtrees of every maximizer attain the maximum for their own
-sizes.  That maximum is the enumerated one, the largest score among the
-shapes of that size, so the check uses none of the three formulas.
+of each leaf count up to a bound once, exactly, and reports per count
+whether the maximizer is unique and is the echelon tree, whether the
+minimizer is unique and is the caterpillar, and whether both root
+subtrees of every maximizer attain the maximum for their own sizes.
+That maximum is the enumerated one, the largest score among the shapes
+of that size, so the check uses none of the three formulas.
 """
 
 import math
 from array import array
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .families import caterpillar, echelon
@@ -136,24 +138,23 @@ class ExtremalReport(
     __slots__ = ()
 
 
-def verify_extremal(n: int, bound: int = DEFAULT_ENUM_BOUND) -> ExtremalReport:
-    """Score every n-leaf shape exactly and summarize the extremes.
+def verify_extremal(max_n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[ExtremalReport]:
+    """Score every shape of each leaf count n = 2..max_n; yield one report per n.
 
     A shape with m leaves scores its index times ``scale * (m - 1)``, where
-    ``scale = lcm(1..n-1)``: ``scale`` times the sum of min/max child
+    ``scale = lcm(1..max_n-1)``: ``scale`` times the sum of min/max child
     leaf-count ratios over its internal nodes, an integer.  So uniqueness
     is decided by exact integer equality; there is no epsilon anywhere.
     The children of every n-leaf shape are cached shapes of smaller sizes,
-    so those are scored first, one leaf count at a time from the smallest,
-    each in one step from its children's scores; a maximizer's root
-    subtree attains its own maximum when its score is the largest of its
-    size.  Raises ValueError for n < 2 and LimitError above ``bound``.
+    and the sizes run from the smallest, so each shape is scored once, in
+    one step from its children's scores; a maximizer's root subtree attains
+    its own maximum when its score is the largest of its size.  Lazily, as
+    the reports are drawn: ValueError for max_n < 2 before the first, and
+    LimitError after the last report for a size within ``bound``.
     """
-    if n < 2:
+    if max_n < 2:
         raise ValueError("extremal verification needs at least two leaves")
-    # One call, read once: it checks the bound and fills the cache.
-    shapes = tuple(enumerate_shapes(n, bound))
-    scale = math.lcm(*range(1, n))
+    scale = math.lcm(*range(1, max_n))
     sums = {id(_shapes[1][0]): 0}
     largest = [0, 0]
 
@@ -161,35 +162,32 @@ def verify_extremal(n: int, bound: int = DEFAULT_ENUM_BOUND) -> ExtremalReport:
         na, nb = t.left.leaf_count, t.right.leaf_count
         return scale * min(na, nb) // max(na, nb) + sums[id(t.left)] + sums[id(t.right)]
 
-    for m in range(2, n):
-        sums.update(zip(map(id, _shapes[m]), map(score, _shapes[m])))
-        largest.append(max(sums[id(t)] for t in _shapes[m]))
-    # 8 bytes a score, not an int object each, as they are held at verify's
-    # memory peak.  No score exceeds scale * (n - 1), below 2**63 up to n = 43.
-    scores = array("q", map(score, shapes))
-    best, worst = max(scores), min(scores)
-    max_trees = [t for t, s in zip(shapes, scores) if s == best]
-    min_trees = [t for t, s in zip(shapes, scores) if s == worst]
-    subtree_ok = all(
-        sums[id(part)] == largest[part.leaf_count]
-        for tree in max_trees
-        for part in (tree.left, tree.right)
-    )
-
-    max_codes = tuple(sorted(canonical(t) for t in max_trees))
-    min_codes = tuple(sorted(canonical(t) for t in min_trees))
-    return ExtremalReport(
-        n=n,
-        shape_count=len(shapes),
-        max_value=Fraction(best, scale * (n - 1)),
-        min_value=Fraction(worst, scale * (n - 1)),
-        max_witnesses=max_codes,
-        min_witnesses=min_codes,
-        max_unique_and_is_echelon=(
-            len(max_codes) == 1 and max_codes[0] == canonical(echelon(n))
-        ),
-        min_unique_and_is_caterpillar=(
-            len(min_codes) == 1 and min_codes[0] == canonical(caterpillar(n))
-        ),
-        subtree_maximality_holds=subtree_ok,
-    )
+    for n in range(2, max_n + 1):
+        # One call per size, read once: it checks the bound and fills the cache.
+        shapes = tuple(enumerate_shapes(n, bound))
+        # 8 bytes a score, not an int object each, as they are held at verify's
+        # memory peak.  No score exceeds scale * (max_n - 1), below 2**63 up to max_n = 43.
+        scores = array("q", map(score, shapes))
+        best, worst = max(scores), min(scores)
+        max_trees = [t for t, s in zip(shapes, scores) if s == best]
+        max_codes = tuple(sorted(canonical(t) for t in max_trees))
+        min_codes = tuple(sorted(canonical(t) for t, s in zip(shapes, scores) if s == worst))
+        yield ExtremalReport(
+            n=n,
+            shape_count=len(shapes),
+            max_value=Fraction(best, scale * (n - 1)),
+            min_value=Fraction(worst, scale * (n - 1)),
+            max_witnesses=max_codes,
+            min_witnesses=min_codes,
+            max_unique_and_is_echelon=max_codes == (canonical(echelon(n)),),
+            min_unique_and_is_caterpillar=min_codes == (canonical(caterpillar(n)),),
+            subtree_maximality_holds=all(
+                sums[id(part)] == largest[part.leaf_count]
+                for tree in max_trees
+                for part in (tree.left, tree.right)
+            ),
+        )
+        # The last size is nobody's child: its scores are not kept.
+        if n < max_n:
+            sums.update(zip(map(id, shapes), scores))
+            largest.append(best)

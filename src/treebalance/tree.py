@@ -24,7 +24,13 @@ CanonicalCode = str
 
 
 class LimitError(ValueError):
-    """A configurable size guard (tree height or enumeration bound) was hit."""
+    """A size guard was hit: the fixed tree height or the enumeration bound.
+
+    Only the enumeration bound can be set, through the ``bound`` arguments
+    of :func:`~treebalance.shapes.enumerate_shapes` and
+    :func:`~treebalance.extremal.verify_extremal`, or the CLI's
+    ``TREEBALANCE_MAX_ENUM`` environment variable.
+    """
 
 
 class Tree:

@@ -37,7 +37,7 @@ def _pass(message):
 def extremal_sweep():
     """Exhaustive per-n verification reports for n = 2..16, timed once."""
     start = time.perf_counter()
-    reports = {n: verify_extremal(n) for n in range(2, SWEEP_MAX_N + 1)}
+    reports = {report.n: report for report in verify_extremal(SWEEP_MAX_N)}
     return reports, time.perf_counter() - start
 
 
@@ -77,8 +77,8 @@ def test_maximizer_subtrees_attain_their_own_maxima(extremal_sweep):
 
 def test_sweep_scores_equal_the_defining_sum(monkeypatch):
     # verify_extremal scores shapes by scaled integer node-sums; this holds
-    # every score it compares to the direct index, the ground truth.  The
-    # n-leaf scores are the one array verify builds; record it per call.
+    # every score it compares to the direct index, the ground truth.  A sweep
+    # builds one score array per leaf count, smallest first; record them.
     recorded = []
 
     def recording_array(typecode, items):
@@ -86,12 +86,12 @@ def test_sweep_scores_equal_the_defining_sum(monkeypatch):
         return recorded[-1]
 
     monkeypatch.setattr(extremal, "array", recording_array)
+    for _ in verify_extremal(SWEEP_MAX_N):
+        pass
+    assert len(recorded) == SWEEP_MAX_N - 1
+    scale = math.lcm(*range(1, SWEEP_MAX_N))
     shapes_checked = 0
-    for n in range(2, SWEEP_MAX_N + 1):
-        verify_extremal(n)
-        (scores,) = recorded
-        recorded.clear()
-        scale = math.lcm(*range(1, n))
+    for n, scores in enumerate(recorded, start=2):
         assert len(scores) == count_shapes(n)
         for shape, score in zip(enumerate_shapes(n), scores):
             assert Fraction(score, scale * (n - 1)) == stairs2_direct(shape)

@@ -406,6 +406,19 @@ class TestTable:
         rc, _, _ = run(capsys, ["table", "--from", str(lo), "--to", str(hi)])
         assert rc == 2
 
+    def test_formula_disagreement_exits_one(self, capsys, monkeypatch):
+        closed = cli.max_value_closed
+        monkeypatch.setattr(cli, "max_value_closed", lambda n: closed(n) + (n == 5))
+        rc, out, err = run(capsys, ["table", "--from", "2", "--to", "6"])
+        assert rc == 1
+        assert err == "error: recursive and closed formulas disagree at n=5\n"
+        assert out.splitlines() == [
+            "n,st2_max_exact,st2_max_decimal",
+            "2,1,1.000000000",
+            "3,3/4,0.7500000000",
+            "4,1,1.000000000",
+        ]
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):

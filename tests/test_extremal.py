@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -144,7 +145,7 @@ def test_even_recursion_base_cases():
 
 class TestVerifyExtremal:
     def test_four_leaves(self):
-        report = verify_extremal(4)
+        *_, report = verify_extremal(4)
         assert isinstance(report, ExtremalReport)
         assert report.shape_count == 2
         assert report.max_value == 1
@@ -156,21 +157,21 @@ class TestVerifyExtremal:
         assert report.subtree_maximality_holds
 
     def test_six_leaves(self):
-        report = verify_extremal(6)
+        *_, report = verify_extremal(6)
         assert report.shape_count == 6
         assert report.max_value == Fraction(9, 10)
         assert report.max_witnesses == (canonical(echelon(6)),)
         assert report.max_unique_and_is_echelon
 
     def test_eight_leaves(self):
-        report = verify_extremal(8)
+        *_, report = verify_extremal(8)
         assert report.shape_count == 23
         assert report.max_value == 1
         assert report.max_witnesses == (canonical(fully_balanced(3)),)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_reports_are_consistent(self, n):
-        report = verify_extremal(n)
+        *_, report = verify_extremal(n)
         assert report.n == n
         assert report.shape_count == count_shapes(n)
         assert report.max_value == max_value_recursive(n)
@@ -180,13 +181,22 @@ class TestVerifyExtremal:
 
     def test_needs_two_leaves(self):
         with pytest.raises(ValueError):
-            verify_extremal(1)
+            next(verify_extremal(1))
 
     def test_enumeration_bound(self):
         with pytest.raises(LimitError):
-            verify_extremal(19)
+            list(verify_extremal(19))
+        reports = verify_extremal(5, bound=4)
+        assert [r.n for r in islice(reports, 3)] == [2, 3, 4]
         with pytest.raises(LimitError):
-            verify_extremal(5, bound=4)
+            next(reports)
+
+    def test_one_sweep_reports_every_leaf_count_as_its_own_sweep_does(self):
+        sweep = list(verify_extremal(12))
+        assert [r.n for r in sweep] == list(range(2, 13))
+        for report in sweep:
+            *_, alone = verify_extremal(report.n)
+            assert report == alone
 
     def test_uses_no_maximum_formula(self, monkeypatch):
         expected = {n: max_value_recursive(n) for n in range(2, 13)}
@@ -197,7 +207,7 @@ class TestVerifyExtremal:
         for name in ("max_value_recursive", "max_value_closed", "max_value_even_recursion"):
             monkeypatch.setattr(extremal, name, fail)
         for n, value in expected.items():
-            report = verify_extremal(n)
+            *_, report = verify_extremal(n)
             assert report.max_value == value
             assert report.max_unique_and_is_echelon
             assert report.min_unique_and_is_caterpillar
@@ -208,8 +218,12 @@ class TestVerifyExtremal:
         # 6-leaf "maximizer" built on it breaks subtree maximality.
         cat5 = next(t for t in enumerate_shapes(5) if canonical(t) == canonical(caterpillar(5)))
         leaf = enumerate_shapes(1)[0]
-        monkeypatch.setattr(extremal, "enumerate_shapes", lambda n, bound: [Tree(cat5, leaf)])
-        report = verify_extremal(6)
+        monkeypatch.setattr(
+            extremal,
+            "enumerate_shapes",
+            lambda n, bound: enumerate_shapes(n, bound) if n < 6 else [Tree(cat5, leaf)],
+        )
+        *_, report = verify_extremal(6)
         assert report.shape_count == 1
         assert not report.subtree_maximality_holds
         assert not report.max_unique_and_is_echelon

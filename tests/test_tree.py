@@ -184,6 +184,8 @@ class TestIsomorphism:
         assert echelon(8) == fully_balanced(3)
         assert cherry() != caterpillar(3)
         assert len({cherry(), Tree(Tree(), Tree()), caterpillar(3)}) == 2
+        assert Tree() != 0
+        assert not (Tree() == "0")
 
 
 @given(trees)
