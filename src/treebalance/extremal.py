@@ -30,9 +30,12 @@ from fractions import Fraction
 
 from .families import caterpillar, echelon
 from .shapes import DEFAULT_ENUM_BOUND, _shapes, enumerate_shapes
-from .tree import Tree, canonical
+from .tree import LimitError, Tree, canonical
 
 _ZERO = Fraction(0)
+# The largest max_n whose scores fit a signed 64-bit array: none exceeds
+# lcm(1..max_n-1) * (max_n - 1), which passes 2**63 at max_n = 44.
+MAX_VERIFY_N = 43
 
 
 def max_value_recursive(n: int) -> Fraction:
@@ -129,7 +132,8 @@ class ExtremalReport(
     """Brute-force extremal summary for one leaf count.
 
     ``max_value`` and ``min_value`` are exact Fractions.  Witness lists
-    hold canonical codes, sorted, one entry per argmax or argmin shape.
+    hold canonical codes, sorted, one entry per argmax or argmin shape:
+    unlabeled Newick templates such as ``"((%s,%s),(%s,%s))"``.
     The boolean flags record the expected outcome: a unique maximizer
     equal to the echelon tree, a unique minimizer equal to the
     caterpillar, and maximizers whose root subtrees are maximizers too.
@@ -149,11 +153,14 @@ def verify_extremal(max_n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Ext
     and the sizes run from the smallest, so each shape is scored once, in
     one step from its children's scores; a maximizer's root subtree attains
     its own maximum when its score is the largest of its size.  Lazily, as
-    the reports are drawn: ValueError for max_n < 2 before the first, and
-    LimitError after the last report for a size within ``bound``.
+    the reports are drawn: ValueError for max_n < 2 and LimitError for
+    max_n > ``MAX_VERIFY_N`` before the first, and LimitError after the
+    last report for a size within ``bound``.
     """
     if max_n < 2:
         raise ValueError("extremal verification needs at least two leaves")
+    if max_n > MAX_VERIFY_N:
+        raise LimitError(f"max_n={max_n} exceeds the scoring bound {MAX_VERIFY_N}")
     scale = math.lcm(*range(1, max_n))
     sums = {id(_shapes[1][0]): 0}
     largest = [0, 0]
@@ -166,7 +173,7 @@ def verify_extremal(max_n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Ext
         # One call per size, read once: it checks the bound and fills the cache.
         shapes = tuple(enumerate_shapes(n, bound))
         # 8 bytes a score, not an int object each, as they are held at verify's
-        # memory peak.  No score exceeds scale * (max_n - 1), below 2**63 up to max_n = 43.
+        # memory peak; MAX_VERIFY_N keeps them below 2**63.
         scores = array("q", map(score, shapes))
         best, worst = max(scores), min(scores)
         max_trees = [t for t, s in zip(shapes, scores) if s == best]

@@ -36,7 +36,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .tree import Tree, _postorder, decompose
+from .tree import Tree, canonical, decompose
 
 # An unquoted name, shared by the parser's scanner and the label check;
 # ``\s`` matches exactly the characters for which ``str.isspace`` is true.
@@ -201,51 +201,24 @@ def write_shapes(shapes) -> "Iterator[str]":
 
     The lines are those of ``[write_newick(NewickDocument(s)) for s in
     sorted(shapes, key=canonical)]``, but each distinct subtree is written
-    once, and canonical codes are built only for tied siblings, by
-    :func:`~treebalance.tree.decompose`.  Every distinct node, keyed by
-    identity, is rendered as a template: a leaf is ``"%s"`` and an
-    internal node ``"(" + T(first) + "," + T(second) + ")"`` with ``first,
-    second = decompose(node)``.  A line is its shape's pair filled, with
-    one ``%``, by t1, t2, ... in order; a lone leaf is ``t1;``.
+    once, as its canonical code, which is its unlabeled Newick template
+    (see :func:`~treebalance.tree.canonical`).  A shape is keyed by the
+    codes of its two children, ``decompose`` order, and its leaf count, so
+    the shapes themselves get no cached code.  Codes are prefix-free, so
+    the keys sort as the shapes' own codes would.  A line is its key's
+    pair filled, with one ``%``, by t1, t2, ... in order; a lone leaf is
+    ``t1;``.
 
-    Sorting the ``(T(first), T(second))`` pairs sorts the shapes as their
-    codes do, because template order is canonical-code order.  A template
-    and a code are both preorder serializations of one ordered tree.  The
-    code writes ``"0"`` per leaf and ``"1"`` per internal node; the
-    template writes ``"%s"`` and ``"("``, and its commas and closing
-    parentheses follow from the nodes before them.  So two different
-    shapes give the same text up to the first node, in preorder, that is
-    a leaf in one and internal in the other, and there ``"%"`` < ``"("``
-    just as ``"0"`` < ``"1"``.
-
-    A template holds its whole subtree, so the cost is the total length
-    of the distinct templates: fine for many small shapes, quadratic on a
+    A code holds its whole subtree, so the cost is the total length of
+    the distinct codes: fine for many small shapes, quadratic on a
     caterpillar.  Single documents, labels and deep trees belong to
     :func:`write_newick`.
     """
-    # The tuple keeps every node alive for the call, so identities stay unique.
-    shapes = tuple(shapes)
-    templates: "dict[int, str]" = {}
-
-    def pair(node: Tree) -> "tuple[str, str]":
-        first, second = decompose(node)
-        # Only internal nodes have entries; a leaf's template is "%s".
-        return templates.get(id(first), "%s"), templates.get(id(second), "%s")
-
-    def rendered(node: Tree) -> bool:
-        return id(node) in templates
-
     keys = []
     for shape in shapes:
-        if shape.left is None:
-            keys.append(("%s", "", 1))  # sorts before every pair, as "0" does
-            continue
-        for child in (shape.left, shape.right):
-            if child.left is not None and id(child) not in templates:
-                for node in _postorder(child, rendered):
-                    first, second = pair(node)
-                    templates[id(node)] = "(" + first + "," + second + ")"
-        keys.append((*pair(shape), shape.leaf_count))
+        # A lone leaf's ("%s", "") sorts before every pair, as its code does.
+        pair = ("%s", "") if shape.left is None else map(canonical, decompose(shape))
+        keys.append((*pair, shape.leaf_count))
     keys.sort()
     names: "dict[int, tuple[str, ...]]" = {}
     for first, second, n in keys:

@@ -14,22 +14,27 @@ deduplication: an explicit stack rather than recursion, so arbitrarily
 deep trees such as large caterpillars are safe.  ``canonical`` caches its
 codes on the nodes, across calls; ``height`` keeps one integer per
 distinct node for the length of the call.  Both index evaluations in
-``stairs2`` and ``newick.write_shapes`` use the same walk.
+``stairs2`` use the same walk.  A canonical code is the shape's unlabeled
+Newick template, which ``newick.write_shapes`` fills with leaf names.
 """
 
 from collections.abc import Callable
 
-#: Canonical codes are strings over "0"/"1"; equal codes mean equal shapes.
+#: Canonical codes are unlabeled Newick templates such as "((%s,%s),%s)";
+#: equal codes mean equal shapes.
 CanonicalCode = str
 
 
 class LimitError(ValueError):
-    """A size guard was hit: the fixed tree height or the enumeration bound.
+    """A size guard was hit: the fixed tree height, the fixed scoring bound
+    or the enumeration bound.
 
     Only the enumeration bound can be set, through the ``bound`` arguments
     of :func:`~treebalance.shapes.enumerate_shapes` and
     :func:`~treebalance.extremal.verify_extremal`, or the CLI's
-    ``TREEBALANCE_MAX_ENUM`` environment variable.
+    ``TREEBALANCE_MAX_ENUM`` environment variable.  Whatever that bound,
+    ``verify_extremal`` refuses a ``max_n`` above 43
+    (``extremal.MAX_VERIFY_N``), where its integer scores would pass 2**63.
     """
 
 
@@ -50,7 +55,7 @@ class Tree:
         self.leaf_count = 1 if left is None else left.leaf_count + right.leaf_count
         self.left = left
         self.right = right
-        self._code: str | None = "0" if left is None else None
+        self._code: str | None = "%s" if left is None else None
 
     @property
     def is_leaf(self) -> bool:
@@ -94,19 +99,20 @@ def _postorder(t: Tree, done: "Callable[[Tree], bool] | None" = None) -> "list[T
 
 
 def canonical(t: Tree) -> CanonicalCode:
-    """Return the canonical code of ``t``.
+    """Return the canonical code of ``t``: its unlabeled Newick template.
 
-    A leaf codes as ``"0"`` and an internal node as ``"1"`` followed by the
-    codes of its children ordered by the canonical sort key (leaf count
-    descending, then code lexicographic), which is the order ``decompose``
-    returns.  The code is cached on each node, computed at most once per
-    object.
+    A leaf codes as ``"%s"`` and an internal node as ``"(" + code(first) +
+    "," + code(second) + ")"`` with ``first, second = decompose(node)``:
+    leaf count descending, then code lexicographic.  So ``canonical(t) %
+    names`` is ``t``'s Newick text, less the ``;``, with one name per leaf
+    in output order.  The code is cached on each node, computed at most
+    once per object.  A k-leaf node caches 5k - 3 characters.
     """
     if t._code is not None:
         return t._code
     for node in _postorder(t, lambda v: v._code is not None):
         first, second = decompose(node)
-        node._code = "1" + first._code + second._code
+        node._code = "(" + first._code + "," + second._code + ")"
     return t._code
 
 

@@ -56,6 +56,12 @@ class TestDecimalString:
             decimal_string(Fraction(1, 2), 0)
 
 
+def test_exact_str_without_a_digit_limit(monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no int-to-str digit limit to lift.
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert cli._exact_str(Fraction(3, 4)) == "3/4"
+
+
 class TestCompute:
     def test_cherry_from_stdin(self, capsys, monkeypatch):
         rc, out, _ = run(capsys, ["compute", "-"], "(A,B);", monkeypatch)
@@ -346,6 +352,13 @@ class TestVerify:
         rc, _, err = run(capsys, ["verify", "--max-n", "4"])
         assert rc == 2
         assert "TREEBALANCE_MAX_ENUM" in err
+
+    def test_past_the_scoring_bound_exits_two_before_any_report(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREEBALANCE_MAX_ENUM", "44")
+        rc, out, err = run(capsys, ["verify", "--max-n", "44"])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: max_n=44 exceeds the scoring bound 43\n"
 
 
 class TestTable:

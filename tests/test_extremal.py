@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,7 @@ from treebalance.extremal import (
     verify_extremal,
 )
 from treebalance.families import caterpillar, echelon, fully_balanced
+from treebalance.newick import NewickDocument, parse_newick, write_newick
 from treebalance.shapes import count_shapes, enumerate_shapes
 from treebalance.tree import LimitError, Tree, canonical
 
@@ -190,6 +192,24 @@ class TestVerifyExtremal:
         assert [r.n for r in islice(reports, 3)] == [2, 3, 4]
         with pytest.raises(LimitError):
             next(reports)
+
+    def test_scoring_bound(self):
+        # Past it the largest score, lcm(1..max_n-1) * (max_n - 1), passes 2**63.
+        top = extremal.MAX_VERIFY_N
+        assert math.lcm(*range(1, top)) * (top - 1) < 2**63 <= math.lcm(*range(1, top + 1)) * top
+        with pytest.raises(LimitError):
+            next(verify_extremal(top + 1, bound=top + 1))
+        assert next(verify_extremal(top, bound=top)) == next(verify_extremal(2))
+
+    def test_witnesses_are_templates_of_their_shapes(self):
+        for report in verify_extremal(12):
+            n = report.n
+            names = tuple(f"t{i}" for i in range(1, n + 1))
+            witnesses = ((report.max_witnesses, echelon), (report.min_witnesses, caterpillar))
+            for (code,), family in witnesses:
+                text = code % names + ";"
+                assert text == write_newick(NewickDocument(family(n)))
+                assert parse_newick(text).shape == family(n)
 
     def test_one_sweep_reports_every_leaf_count_as_its_own_sweep_does(self):
         sweep = list(verify_extremal(12))

@@ -210,9 +210,25 @@ class TestRoundTrip:
         assert again.labels == ("alpha", "beta", "gamma")
 
 
+def reference_code(t):
+    """An order key independent of ``canonical``: "0" per leaf, "1" plus the
+    children's codes, by leaf count descending, then code."""
+    if t.is_leaf:
+        return "0"
+    children = sorted((-c.leaf_count, reference_code(c)) for c in (t.left, t.right))
+    return "1" + "".join(code for _, code in children)
+
+
 def written_in_code_order(shapes):
-    """The reference for ``write_shapes``: sort by canonical code, write each."""
-    return [write_newick(NewickDocument(s)) for s in sorted(shapes, key=canonical)]
+    """The reference for ``write_shapes``: sort by the reference code, write each."""
+    return [write_newick(NewickDocument(s)) for s in sorted(shapes, key=reference_code)]
+
+
+def mixed_leaf_counts():
+    shapes = [s for n in range(1, 8) for s in enumerate_shapes(n)]
+    shapes += [Tree(), echelon(5)]
+    random.Random(0).shuffle(shapes)
+    return shapes
 
 
 def swapped_copy(t, rng):
@@ -233,20 +249,25 @@ class TestWriteShapes:
         rng.shuffle(copies)
         assert list(write_shapes(copies)) == written_in_code_order(enumerate_shapes(n))
 
-    def test_codes_only_for_tied_siblings(self):
-        # decompose codes only equal-size siblings, each at most half the
-        # shape; sorting by canonical would code every shape.
+    def test_codes_cached_on_subtrees_only(self):
+        # Each shape is keyed by its children's codes; sorting the shapes by
+        # canonical would cache a code on every one of them.
         rng = random.Random(12)
         copies = [swapped_copy(s, rng) for s in enumerate_shapes(12)]
         list(write_shapes(copies))
-        large = [v for c in copies for v in _postorder(c) if v.leaf_count > 6]
-        assert large and all(v._code is None for v in large)
+        subtrees = [v for c in copies for v in _postorder(c) if v is not c]
+        assert all(c._code is None for c in copies)
+        assert subtrees and all(v._code is not None for v in subtrees)
 
     def test_mixed_leaf_counts_sort_as_their_codes(self):
-        shapes = [s for n in range(1, 8) for s in enumerate_shapes(n)]
-        shapes += [Tree(), echelon(5)]
-        random.Random(0).shuffle(shapes)
+        shapes = mixed_leaf_counts()
         assert list(write_shapes(iter(shapes))) == written_in_code_order(shapes)
+
+    def test_canonical_sorts_as_the_reference_code(self):
+        every_shape = [s for n in range(1, 15) for s in enumerate_shapes(n)]
+        for shapes in (every_shape, mixed_leaf_counts()):
+            by_canonical = sorted(shapes, key=canonical)
+            assert list(map(id, by_canonical)) == list(map(id, sorted(shapes, key=reference_code)))
 
 
 def yule_newick(seed, leaves):
