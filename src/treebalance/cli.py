@@ -11,10 +11,13 @@ import argparse
 import io
 import os
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
+from math import gcd
 
 from .extremal import (
+    _closed_ratio,
+    _recursive_ratio,
     max_value_closed,
     max_value_even_recursion,
     max_value_recursive,
@@ -26,8 +29,8 @@ from .shapes import DEFAULT_ENUM_BOUND, count_shapes, enumerate_shapes
 from .stairs2 import stairs2_direct, stairs2_recursive
 
 TABLE_RANGE_CAP = 10**6
-#: Most significant digits ``table --precision`` renders; ``decimal`` refuses
-#: more than ``decimal.MAX_PREC``, with a traceback past the C integer range.
+#: Most significant digits ``table --precision`` renders; every row divides
+#: and prints integers of that many digits.
 TABLE_PRECISION_CAP = 10**4
 #: Most leaves ``generate`` writes; the unfolded output costs memory per leaf.
 GENERATE_LEAF_CAP = 2**22
@@ -35,22 +38,53 @@ GENERATE_LEAF_CAP = 2**22
 COUNT_LEAF_CAP = 2048
 
 
+#: ``scaleb`` in this context only moves the exponent: it never rounds.
+_EXACT = Context(prec=MAX_PREC)
+#: log10(2) * 10**30, rounded down: close enough that ``_decimal``'s estimate
+#: is off by at most the one step it corrects, at any bit length in memory.
+_LOG10_2 = 301029995663981195213738894724
+
+
+def _decimal(p: int, q: int, digits: int) -> str:
+    """p/q (q > 0, p != 0) to ``digits`` significant digits, half-even."""
+    c = abs(p)
+    # With e the difference of the bit lengths, 2**(e - 1) < c/q < 2**(e + 1),
+    # so a = floor(log10(c/q)) is the estimate from the lower bound or one
+    # more; one comparison decides.
+    a = (c.bit_length() - q.bit_length() - 1) * _LOG10_2 // 10**30
+    if (c * 10 ** -(a + 1) >= q) if a < -1 else (c >= q * 10 ** (a + 1)):
+        a += 1
+    k = digits - 1 - a
+    if k >= 0:
+        c, r = divmod(c * 10**k, q)
+    else:
+        q *= 10**-k
+        c, r = divmod(c, q)
+    # 10**(digits - 1) <= c < 10**digits; round on the exact remainder.
+    if 2 * r > q or (2 * r == q and c & 1):
+        c += 1
+        if c == 10**digits:
+            c //= 10
+            k -= 1
+    return str(Decimal(-c if p < 0 else c).scaleb(-k, _EXACT))
+
+
 def decimal_string(value: Fraction, digits: int = 10) -> str:
     """Render an exact rational to ``digits`` significant decimal digits.
 
     Rounding is half-even; trailing zeros are kept so the width is stable
     (1 renders as "1.000000000" at the default ten digits).  Zero renders
-    as plain "0".
+    as plain "0".  The work is in integers: the decimal exponent comes from
+    the two bit lengths and one comparison, then one ``divmod`` gives a
+    quotient of exactly ``digits`` digits, rounded on its remainder.  A
+    huge value costs one division, not a conversion of both sides to
+    ``Decimal``, which only lays the digits out, as its ``str`` would.
     """
     if digits < 1:
         raise ValueError("need at least one significant digit")
     if value == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1))))
+    return _decimal(value.numerator, value.denominator, digits)
 
 
 def _exact_str(value) -> str:
@@ -200,12 +234,19 @@ def cmd_table(args) -> int:
     sep = {"csv": ",", "tsv": "\t", "plain": " "}[args.format]
     if args.format != "plain":
         print(sep.join(("n", "st2_max_exact", "st2_max_decimal")))
+    write = sys.stdout.write
     for n in range(lo, hi + 1):
-        value = max_value_recursive(n)
-        if value != max_value_closed(n):
+        # Both pairs share the denominator (n - 1) << floor(log2 n).
+        p, q = pair = _recursive_ratio(n)
+        if pair != _closed_ratio(n):
             print(f"error: recursive and closed formulas disagree at n={n}", file=sys.stderr)
             return 1
-        print(sep.join((str(n), str(value), decimal_string(value, args.precision))))
+        g = gcd(p, q)
+        p //= g
+        q //= g
+        exact = f"{p}/{q}" if q != 1 else str(p)
+        shown = _decimal(p, q, args.precision) if p else "0"
+        write(f"{n}{sep}{exact}{sep}{shown}\n")
     return 0
 
 

@@ -11,7 +11,11 @@ the half-size value from ``max_value_recursive``, so it checks the
 doubling step rather than the whole recursion.  They must agree exactly
 everywhere; the test suite holds them to that.  Each is a pure function of
 n: the first two make one loop over n's set bits, O(popcount n) integer
-steps, with no memo, so nothing is kept between calls.
+steps, with no memo, so nothing is kept between calls.  Their loops are
+the private ``_recursive_ratio`` and ``_closed_ratio``, which return the
+unreduced integer pair (numerator, (n - 1) << top), top = floor(log2 n):
+both share that denominator, so ``table`` compares the two numerators and
+reduces once, and the public functions are ``Fraction`` of the pair.
 
 ``verify_extremal`` is the ground truth at small n: it scores every shape
 of each leaf count up to a bound once, exactly, and reports per count
@@ -32,10 +36,45 @@ from .families import caterpillar, echelon
 from .shapes import DEFAULT_ENUM_BOUND, _shapes, enumerate_shapes
 from .tree import LimitError, Tree, canonical
 
-_ZERO = Fraction(0)
 # The largest max_n whose scores fit a signed 64-bit array: none exceeds
 # lcm(1..max_n-1) * (max_n - 1), which passes 2**63 at max_n = 44.
 MAX_VERIFY_N = 43
+
+
+def _recursive_ratio(n: int) -> "tuple[int, int]":
+    """The recursive maximum for n as an unreduced (numerator, (n - 1) << top) pair."""
+    if n < 0:
+        raise ValueError("leaf count must be non-negative")
+    if n <= 1:
+        return 0, 1
+    scaled = prefix = 0
+    rest = n
+    while rest:
+        k = rest & -rest
+        top = k.bit_length() - 1
+        # N(prefix + k) from N(prefix); at prefix = 0 the shift is on N(0) = 0.
+        scaled = ((k - 1) << top) + prefix + (scaled << (top + 1 - prefix.bit_length()))
+        prefix += k
+        rest ^= k
+    return scaled, (n - 1) << top
+
+
+def _closed_ratio(n: int) -> "tuple[int, int]":
+    """The closed-form maximum for n as an unreduced (numerator, (n - 1) << top) pair."""
+    if n < 0:
+        raise ValueError("leaf count must be non-negative")
+    if n <= 1:
+        return 0, 1
+    top = n.bit_length() - 1
+    total = (n - n.bit_count()) << top
+    prefix = n & -n
+    rest = n ^ prefix
+    while rest:
+        bit = rest & -rest
+        total += prefix << (top + 1 - bit.bit_length())
+        prefix += bit
+        rest ^= bit
+    return total, (n - 1) << top
 
 
 def max_value_recursive(n: int) -> Fraction:
@@ -56,22 +95,11 @@ def max_value_recursive(n: int) -> Fraction:
     remainders r are the prefixes of n's binary expansion, so one loop
     builds N up from the lowest set bit of n, adding one bit per step:
     O(popcount n) integer steps per call, no recursion, and no state kept
-    between calls.  The only reduction is the returned ``Fraction``.
+    between calls.  The loop is ``_recursive_ratio``, which returns N(n)
+    over the denominator (n - 1) << top, top = floor(log2 n); the only
+    reduction is the returned ``Fraction``.
     """
-    if n < 0:
-        raise ValueError("leaf count must be non-negative")
-    if n <= 1:
-        return _ZERO
-    scaled = prefix = 0
-    rest = n
-    while rest:
-        k = rest & -rest
-        top = k.bit_length() - 1
-        # N(prefix + k) from N(prefix); at prefix = 0 the shift is on N(0) = 0.
-        scaled = ((k - 1) << top) + prefix + (scaled << (top + 1 - prefix.bit_length()))
-        prefix += k
-        rest ^= k
-    return Fraction(scaled, (n - 1) << top)
+    return Fraction(*_recursive_ratio(n))
 
 
 def max_value_closed(n: int) -> Fraction:
@@ -86,24 +114,12 @@ def max_value_closed(n: int) -> Fraction:
 
         (n - L) * 2**eL + sum_{i<L} (2**e1 + ... + 2**e_i) * 2**(eL - e_{i+1})
 
-    and the only reduction is the returned ``Fraction``.  Evaluated
-    directly, no recursion and no shared state, so it serves as an
-    independent check on :func:`max_value_recursive`.
+    which ``_closed_ratio`` returns over the denominator (n - 1) << eL;
+    the only reduction is the returned ``Fraction``.  Evaluated directly,
+    no recursion and no shared state, so it serves as an independent
+    check on :func:`max_value_recursive`.
     """
-    if n < 0:
-        raise ValueError("leaf count must be non-negative")
-    if n <= 1:
-        return _ZERO
-    top = n.bit_length() - 1
-    total = (n - n.bit_count()) << top
-    prefix = n & -n
-    rest = n ^ prefix
-    while rest:
-        bit = rest & -rest
-        total += prefix << (top + 1 - bit.bit_length())
-        prefix += bit
-        rest ^= bit
-    return Fraction(total, (n - 1) << top)
+    return Fraction(*_closed_ratio(n))
 
 
 def max_value_even_recursion(n: int) -> Fraction:

@@ -1,17 +1,21 @@
 import io
 import math
 import os
+import random
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from treebalance import cli
 from treebalance.cli import decimal_string, main
+from treebalance.extremal import max_value_recursive
 from treebalance.families import caterpillar
 from treebalance.newick import NewickDocument, write_newick
 from treebalance.shapes import count_shapes, enumerate_shapes
+from treebalance.stairs2 import stairs2_direct
 from treebalance.tree import canonical
 
 
@@ -37,6 +41,17 @@ def _all_ones_maximum(m):
     return Fraction(((n - 2) << (m - 1)) + 1, (n - 1) << (m - 1))
 
 
+def _reference_decimal(value, digits=10):
+    """The Decimal-division rendering ``decimal_string`` replaced, kept as its reference."""
+    if value == 0:
+        return "0"
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_HALF_EVEN
+        d = Decimal(value.numerator) / Decimal(value.denominator)
+        return str(d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1))))
+
+
 class TestDecimalString:
     def test_default_ten_significant_digits(self):
         assert decimal_string(Fraction(1)) == "1.000000000"
@@ -54,6 +69,52 @@ class TestDecimalString:
     def test_precision_must_be_positive(self):
         with pytest.raises(ValueError):
             decimal_string(Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("digits", [1, 2, 10, 60, 10000])
+    def test_random_fractions_of_both_signs_match_the_reference(self, digits):
+        rng = random.Random(f"decimal:{digits}")
+        for _ in range(300 if digits < 10000 else 30):
+            num = rng.randrange(1, 2 ** rng.choice((1, 4, 20, 64, 300)))
+            den = rng.choice((rng.randrange(1, 2 ** rng.choice((1, 4, 20, 64, 300))),
+                              10 ** rng.randrange(40) << rng.randrange(4)))
+            for value in (Fraction(num, den), Fraction(-num, den)):
+                assert decimal_string(value, digits) == _reference_decimal(value, digits), value
+
+    @pytest.mark.parametrize(
+        "value,digits",
+        [
+            (Fraction(1, 8), 2),
+            (Fraction(3, 8), 2),
+            (Fraction(5, 2), 1),
+            (Fraction(15, 2), 1),
+            (Fraction(25, 2), 1),
+            (Fraction(-25, 2), 1),
+        ],
+    )
+    def test_ties_at_the_last_digit_match_the_reference(self, value, digits):
+        assert decimal_string(value, digits) == _reference_decimal(value, digits)
+
+    @pytest.mark.parametrize(
+        "value,digits,expected",
+        [
+            (Fraction(99999999996, 10**11), 10, "1.000000000"),
+            (Fraction(96, 100), 1, "1"),
+            (Fraction(-96, 100), 1, "-1"),
+            (Fraction(996), 2, "1.0E+3"),
+        ],
+    )
+    def test_rounding_up_to_the_next_power_of_ten(self, value, digits, expected):
+        assert decimal_string(value, digits) == _reference_decimal(value, digits) == expected
+
+    @pytest.mark.parametrize("digits", [1, 2, 10, 60, 10000])
+    def test_huge_exact_value_matches_the_reference(self, caterpillar_16000_index, digits):
+        value = caterpillar_16000_index
+        assert decimal_string(value, digits) == _reference_decimal(value, digits)
+
+
+@pytest.fixture(scope="module")
+def caterpillar_16000_index():
+    return stairs2_direct(caterpillar(16000))
 
 
 def test_exact_str_without_a_digit_limit(monkeypatch):
@@ -420,8 +481,14 @@ class TestTable:
         assert rc == 2
 
     def test_formula_disagreement_exits_one(self, capsys, monkeypatch):
-        closed = cli.max_value_closed
-        monkeypatch.setattr(cli, "max_value_closed", lambda n: closed(n) + (n == 5))
+        # table compares the unreduced closed-form pair with the recursive one.
+        closed = cli._closed_ratio
+
+        def off_at_five(n):
+            p, q = closed(n)
+            return p + (n == 5), q
+
+        monkeypatch.setattr(cli, "_closed_ratio", off_at_five)
         rc, out, err = run(capsys, ["table", "--from", "2", "--to", "6"])
         assert rc == 1
         assert err == "error: recursive and closed formulas disagree at n=5\n"
@@ -431,6 +498,23 @@ class TestTable:
             "3,3/4,0.7500000000",
             "4,1,1.000000000",
         ]
+
+    @pytest.mark.parametrize("fmt,sep", [("csv", ","), ("tsv", "\t"), ("plain", " ")])
+    @pytest.mark.parametrize("precision,hi", [(1, 3000), (10, 3000), (60, 3000), (10000, 50)])
+    def test_rows_equal_the_fraction_rendering(self, capsys, fmt, sep, precision, hi):
+        rc, out, err = run(
+            capsys,
+            ["table", "--from", "1", "--to", str(hi), "--format", fmt, "--precision", str(precision)],
+        )
+        assert (rc, err) == (0, "")
+        rows = out.splitlines()
+        if fmt != "plain":
+            assert rows.pop(0) == sep.join(("n", "st2_max_exact", "st2_max_decimal"))
+        expected = []
+        for n in range(1, hi + 1):
+            value = max_value_recursive(n)
+            expected.append(sep.join((str(n), str(value), _reference_decimal(value, precision))))
+        assert rows == expected
 
 
 class TestEnumerate:

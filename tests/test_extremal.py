@@ -224,7 +224,8 @@ class TestVerifyExtremal:
         def fail(n):
             raise AssertionError("verify_extremal evaluated a maximum-value formula")
 
-        for name in ("max_value_recursive", "max_value_closed", "max_value_even_recursion"):
+        for name in ("max_value_recursive", "max_value_closed", "max_value_even_recursion",
+                     "_recursive_ratio", "_closed_ratio"):
             monkeypatch.setattr(extremal, name, fail)
         for n, value in expected.items():
             *_, report = verify_extremal(n)
