@@ -135,7 +135,7 @@ def _print_agreeing(values: "dict[str, Fraction]", message: str) -> int:
 
 
 def cmd_compute(args) -> int:
-    doc = parse_newick(_read_input(args.input))
+    doc = parse_newick(_read_input(args.input), labels=False)
     methods = {"direct": stairs2_direct, "recursive": stairs2_recursive}
     if args.method != "both":
         print(_fmt(methods[args.method](doc.shape)))

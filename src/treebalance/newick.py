@@ -30,6 +30,15 @@ ordered subtree, which the identity-keyed walks of ``tree`` and
 ``stairs2`` visit once each; leaf order, and with it the labels, is
 unchanged.  The writer emits only what the parser reads back:
 ``NewickDocument`` rejects any label that is not an unquoted name.
+
+Parsing takes one of two paths, chosen by the input alone.  A valid
+statement is read from its skeleton: a few regex passes delete the
+whitespace the grammar allows and the well-formed branch lengths, one
+search rejects whatever else no valid statement holds, and the labels are
+dropped, so that one Python loop runs over the delimiters ``(),`` only;
+the leaf labels, when wanted, come from one ``findall``.  Any text that
+path rejects goes to a loop with one regex match per token, which finds
+the first error and its offset.  Every pass is linear in the text.
 """
 
 import re
@@ -45,6 +54,21 @@ _BRANCH_LENGTH = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)
 # One token: leading space, a label, an optional branch length, and the
 # next character (a delimiter, an offending character, or '' at the end).
 _TOKEN = re.compile(rf"(\s*)({_NAME.pattern})(?::({_NAME.pattern}))?\s*(.?)", re.S)
+# The skeleton path's patterns, compiled on first use through ``re``'s cache
+# so that commands which parse nothing do not pay for them at start-up.
+# Each pass is linear in the text and scans for its first character in C.
+# Whitespace the grammar allows: a run after the start, '(' or ',', or a run
+# that ends at a delimiter or the end; the lookbehinds try a run only at
+# its first character.
+_SPACE = r"\s(?:(?<![^(,]\s)\s*|(?<!\s\s)\s*(?=[(),;]|\Z))"
+# A well-formed ':length' that ends at ')', ',', ';' or the end.
+_LENGTH = rf"(?<!;):(?:{_BRANCH_LENGTH.pattern})(?=[),;]|\Z)"
+# What no valid statement keeps after those passes, or a label before '('.
+_LEFTOVER = r"[\s:\ufeff(](?<![(),;]\()(?<!^\()"
+# A leaf's label follows '(' or ',' and precedes no '('.
+_LEAF_LABEL = r"[(,]([^(),;]*)(?!\()"
+_NOT_NODE_BYTES = bytes(set(range(256)).difference(b"(),"))
+_OPEN, _COMMA = b"(,"
 
 
 class NewickError(ValueError):
@@ -89,14 +113,64 @@ class NewickDocument(namedtuple("NewickDocument", "shape labels")):
     _make = classmethod(lambda cls, it: cls(*it))
 
 
-def parse_newick(text: str) -> NewickDocument:
+def parse_newick(text: str, labels: bool = True) -> NewickDocument:
     """Parse one Newick statement into a :class:`NewickDocument`.
 
     The resulting shape mirrors the parenthesization exactly, with equal
     ordered subtrees shared as one object.  If no leaf carries a label the
     document's ``labels`` is None; otherwise unlabeled leaves get the empty
-    string.
+    string.  With ``labels=False`` the labels are not collected and
+    ``labels`` is None.
     """
+    return _parse_skeleton(text, labels) or _parse_tokens(text)
+
+
+def _parse_skeleton(text: str, labels: bool) -> "NewickDocument | None":
+    """The document of a valid statement, or None for the token loop to explain."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    text = re.sub(_SPACE, "", text)
+    if ":" in text:
+        text = re.sub(_LENGTH, "", text)
+    if re.search(_LEFTOVER, text) or not text.endswith(";") or text.find(";") < len(text) - 1:
+        return None
+    leaf = Tree()
+    interned: "dict[tuple[int, int], Tree]" = {}
+    # First children of the open nodes; None until the node's ',' is read.
+    stack: "list[Tree | None]" = []
+    node = None  # the completed internal node awaiting its delimiter, if any
+    # The delimiters are ASCII, so every label's bytes, and the final ';', go at once.
+    for ch in text.encode("utf-8", "surrogatepass").translate(None, _NOT_NODE_BYTES):
+        if ch == _OPEN:
+            if node is not None:
+                return None
+            stack.append(None)
+        elif ch == _COMMA:
+            if not stack or stack[-1] is not None:
+                return None
+            stack[-1] = node or leaf
+            node = None
+        else:
+            first = stack.pop() if stack else None
+            if first is None:
+                return None
+            second = node or leaf
+            key = (id(first), id(second))
+            node = interned.get(key)
+            if node is None:
+                node = interned[key] = Tree(first, second)
+    if stack:
+        return None
+    if not labels:
+        return NewickDocument(node or leaf)
+    # A lone leaf follows no '(' or ','; its label is all that precedes the ';'.
+    found = tuple(re.findall(_LEAF_LABEL, text)) if node else (text[:-1],)
+    # The passes above have checked every label, so skip the constructor's checks.
+    return tuple.__new__(NewickDocument, (node or leaf, found if any(found) else None))
+
+
+def _parse_tokens(text: str) -> NewickDocument:
+    """One regex match and one step per token; reports the first error's offset."""
     begin = 1 if text.startswith("\ufeff") else 0
     # Open internal nodes: (collected children, offset of their '(').
     stack: "list[tuple[list[Tree], int]]" = []

@@ -13,7 +13,7 @@ from treebalance import cli
 from treebalance.cli import decimal_string, main
 from treebalance.extremal import max_value_recursive
 from treebalance.families import caterpillar
-from treebalance.newick import NewickDocument, write_newick
+from treebalance.newick import NewickDocument, NewickError, _parse_tokens, write_newick
 from treebalance.shapes import count_shapes, enumerate_shapes
 from treebalance.stairs2 import stairs2_direct
 from treebalance.tree import canonical
@@ -199,6 +199,21 @@ class TestCompute:
             assert out == f"{expected} ({decimal_string(expected)})\n"
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_late_error_in_a_large_file_is_one_line_with_its_offset(self, tmp_path):
+        text = write_newick(NewickDocument(caterpillar(100000)))
+        text = text.replace(",t99998)", ",t99998:1e)")  # a bad branch length near the end
+        path = tmp_path / "caterpillar.nwk"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(NewickError) as exc:
+            _parse_tokens(text)
+        env = {**os.environ, "PYTHONPATH": SRC}
+        result = subprocess.run(
+            [sys.executable, "-m", "treebalance", "compute", str(path)], env=env, capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {exc.value}\n"
+        assert exc.value.offset > len(text) - 30
 
     def test_multifurcation_exits_two(self, capsys, monkeypatch):
         rc, _, err = run(capsys, ["compute", "-"], "(A,B,C);", monkeypatch)

@@ -1,13 +1,17 @@
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from treebalance import newick
 from treebalance.families import caterpillar, echelon, fully_balanced
 from treebalance.newick import (
     NewickArityError,
     NewickDocument,
     NewickError,
+    _parse_tokens,
     parse_newick,
     write_newick,
     write_shapes,
@@ -21,6 +25,58 @@ label_text = st.text(
     alphabet=st.one_of(st.sampled_from("Ab1_.-'[] \t\n\u00a0(),;:\ufeff"), st.characters()),
     max_size=4,
 )
+
+
+def ordered_form(t):
+    """``t`` as its distinct nodes, children first, each with its children's
+    numbers: equal forms mean the same child order and the same sharing."""
+    number: dict = {}
+
+    def num(v):
+        return number.setdefault(id(v), len(number))
+
+    return [(num(v.left), num(v.right), num(v)) for v in _postorder(t)] or [num(t)]
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: the error, or the ordered shape and labels."""
+    try:
+        doc = parse(text)
+    except NewickError as exc:
+        return type(exc), str(exc), exc.offset
+    return ordered_form(doc.shape), doc.labels
+
+
+def agrees_with_the_token_loop(text):
+    """Assert that ``parse_newick`` reads ``text`` as the token loop does;
+    return whether the text parsed."""
+    got = outcome(parse_newick, text)
+    assert got == outcome(_parse_tokens, text)
+    accepted = len(got) == 2
+    if accepted:
+        assert outcome(lambda t: parse_newick(t, labels=False), text) == (got[0], None)
+    return accepted
+
+
+# Valid statements, each mutated by the seeded differential test below.
+STATEMENTS = [
+    ";",
+    "A;",
+    ":1;",
+    "(,);",
+    "(A,);",
+    "(A,B);",
+    "((A,B),C);",
+    "((A:0.1,B:0.2):0.3,C);",
+    "((A,B)anc:1.5,C);",
+    "  ( A ,\n B ) ;\n",
+    "(A:1.,B:.5e-3);",
+    "\ufeff((A,B),(C,D));",
+    "(((A,B),C),(C,(A,B)));",
+    "((,),(,))x:-2;",
+    "(A:+2,(B,C)1:1e4) ;",
+]
+MUTATION_ALPHABET = "();,:AB1.-e+ \n\t\r\xa0\u2028\ufeff\u0661"
 
 
 class TestParse:
@@ -73,6 +129,24 @@ class TestParse:
         doc = parse_newick("(((A,B),C),D);")
         assert is_isomorphic(doc.shape, caterpillar(4))
 
+    @given(trees, st.booleans(), st.integers(0, 2**32))
+    def test_spaced_written_trees_never_reach_the_token_loop(self, t, lengths, seed):
+        rng = random.Random(seed)
+        space = lambda: rng.choice(["", "", " ", "\n", "\t", "\xa0", "\r\n  "])
+        # Labels alternate with delimiters.  Whitespace goes at the start,
+        # after '(', ',' and ';', and before every delimiter.
+        pieces = re.split(r"([(),;])", write_newick(NewickDocument(t)))
+        text = space()
+        for label, delimiter in zip(pieces[::2], pieces[1::2]):
+            if lengths and delimiter != "(":
+                label += ":" + rng.choice(["1", "0.5", "-2", ".5e-3"])
+            text += label + space() + delimiter + ("" if delimiter == ")" else space())
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newick, "_parse_tokens", lambda text: calls.append(text) or _parse_tokens(text))
+            assert agrees_with_the_token_loop(text)
+        assert calls == []
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -123,13 +197,51 @@ class TestParseErrors:
         assert exc.value.offset == offset
         assert str(exc.value.offset) in str(exc.value)
 
-    @given(st.text(alphabet="();,:AB1.-e+ \n\t\r\xa0\u2028\ufeff\u0661", max_size=50))
+    @given(st.text(alphabet=MUTATION_ALPHABET, max_size=50))
     def test_never_crashes_on_arbitrary_input(self, text):
-        try:
+        # Same acceptance, ordered shape and labels as the token loop, and
+        # every error is the token loop's, message and offset included.
+        if not agrees_with_the_token_loop(text):
+            with pytest.raises(NewickError) as exc:
+                parse_newick(text)
+            assert 0 <= exc.value.offset <= len(text)
+            assert f"(offset {exc.value.offset})" in str(exc.value)
+
+    def test_mutated_statements_read_as_the_token_loop_reads_them(self):
+        rng = random.Random(19)
+        accepted = 0
+        for _ in range(20000):
+            text = rng.choice(STATEMENTS)
+            for _ in range(rng.randrange(1, 4)):
+                op = rng.randrange(3)  # insert, replace or delete one character
+                at = rng.randrange(len(text) + 1)
+                char = rng.choice(MUTATION_ALPHABET) if op < 2 else ""
+                text = text[:at] + char + text[at + (op > 0) :]
+            accepted += agrees_with_the_token_loop(text)
+        assert 3000 < accepted < 17000
+
+    @pytest.mark.parametrize(
+        "text", ["A;:1", ":1(A,B);", "(A,B);:1", "(A:1:2,B);", "(A,B)x(C,D);", "(A,B)(C,D);", ";;"]
+    )
+    def test_well_formed_pieces_in_the_wrong_place_are_rejected(self, text):
+        assert not agrees_with_the_token_loop(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(A" + " " * 10**6 + "B,C);",  # a space run inside a label
+            "(A:" + "1" * 10**6 + "x,B);",  # digits before a bad character
+            ":" * 10**6,
+            "(" * 10**6,
+        ],
+        ids=["space-run", "digit-run", "colons", "nested"],
+    )
+    def test_long_inputs_fail_in_linear_time(self, text):
+        start = time.perf_counter()
+        with pytest.raises(NewickError):
             parse_newick(text)
-        except NewickError as exc:
-            assert 0 <= exc.offset <= len(text)
-            assert f"(offset {exc.offset})" in str(exc)
+        # A quadratic pass would take hours at this size; the token loop's 10**6 steps take seconds.
+        assert time.perf_counter() - start < 20
 
 
 class TestWrite:
