@@ -17,6 +17,12 @@ unreduced integer pair (numerator, (n - 1) << top), top = floor(log2 n):
 both share that denominator, so ``table`` compares the two numerators and
 reduces once, and the public functions are ``Fraction`` of the pair.
 
+``table`` takes its recursive pairs from ``_recursive_ratios(lo, hi)``, a
+sweep that makes one peeling step per row from a row before it.  The sweep
+holds one array of earlier rows for the length of its call; the closed
+form stays a loop per n, so the cross-check stays independent, and the
+public functions still keep nothing between calls.
+
 ``verify_extremal`` is the ground truth at small n: it scores every shape
 of each leaf count up to a bound once, exactly, and reports per count
 whether the maximizer is unique and is the echelon tree, whether the
@@ -41,6 +47,15 @@ from .tree import LimitError, Tree, canonical
 MAX_VERIFY_N = 43
 
 
+def _peel(scaled: int, rest: int, top: int) -> int:
+    """N(2**top + rest) from scaled = N(rest), for 0 <= rest < 2**top.
+
+    N is the scaled maximum of :func:`max_value_recursive`; at rest = 0
+    the shift is on N(0) = 0.
+    """
+    return (((1 << top) - 1) << top) + rest + (scaled << (top + 1 - rest.bit_length()))
+
+
 def _recursive_ratio(n: int) -> "tuple[int, int]":
     """The recursive maximum for n as an unreduced (numerator, (n - 1) << top) pair."""
     if n < 0:
@@ -52,11 +67,41 @@ def _recursive_ratio(n: int) -> "tuple[int, int]":
     while rest:
         k = rest & -rest
         top = k.bit_length() - 1
-        # N(prefix + k) from N(prefix); at prefix = 0 the shift is on N(0) = 0.
-        scaled = ((k - 1) << top) + prefix + (scaled << (top + 1 - prefix.bit_length()))
+        scaled = _peel(scaled, prefix, top)
         prefix += k
         rest ^= k
     return scaled, (n - 1) << top
+
+
+def _recursive_ratios(lo: int, hi: int) -> "Iterator[tuple[int, int]]":
+    """Yield ``_recursive_ratio(n)`` for n = lo..hi, one peeling step per row.
+
+    Row n peels down to r = n - 2**top, which an earlier row gave when
+    r >= lo and ``_recursive_ratio`` gives otherwise.  Only the rows that a
+    later row peels down to are kept: n is some row's r when n + 2**(bit
+    length of n) <= hi.  That sum grows with n, so these rows run from lo
+    to the largest such n, ``last``, whose bit length b is the largest
+    with 2**(b - 1) + 2**b <= hi: the bit length of hi // 3.  They go in
+    one signed 64-bit array, allocated once at its full size, which holds
+    N(n) < n**2 while n < 2**31.  ValueError for lo < 0 comes when the
+    first row is drawn.
+    """
+    if lo < 0:
+        raise ValueError("leaf count must be non-negative")
+    b = (hi // 3).bit_length()
+    last = min((1 << b) - 1, hi - (1 << b))
+    kept = array("q", [0]) * max(0, last - lo + 1)
+    for n in range(lo, hi + 1):
+        if n <= 1:
+            pair = 0, 1
+        else:
+            top = n.bit_length() - 1
+            rest = n - (1 << top)
+            below = kept[rest - lo] if rest >= lo else _recursive_ratio(rest)[0]
+            pair = _peel(below, rest, top), (n - 1) << top
+        if n <= last:
+            kept[n - lo] = pair[0]
+        yield pair
 
 
 def _closed_ratio(n: int) -> "tuple[int, int]":

@@ -42,27 +42,30 @@ the first error and its offset.  Every pass is linear in the text.
 """
 
 import re
+from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 
 from .tree import Tree, canonical, decompose
 
+# Every pattern is a string, compiled on first use through ``re``'s cache,
+# so that commands which parse nothing do not pay for them at start-up.
 # An unquoted name, shared by the parser's scanner and the label check;
 # ``\s`` matches exactly the characters for which ``str.isspace`` is true.
-_NAME = re.compile(r"[^\s();,:\ufeff]*")
-_BRANCH_LENGTH = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_NAME = r"[^\s();,:\ufeff]*"
+_BRANCH_LENGTH = r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"
 # One token: leading space, a label, an optional branch length, and the
-# next character (a delimiter, an offending character, or '' at the end).
-_TOKEN = re.compile(rf"(\s*)({_NAME.pattern})(?::({_NAME.pattern}))?\s*(.?)", re.S)
-# The skeleton path's patterns, compiled on first use through ``re``'s cache
-# so that commands which parse nothing do not pay for them at start-up.
-# Each pass is linear in the text and scans for its first character in C.
+# next character (a delimiter, an offending character, or '' at the end);
+# compiled with re.S.
+_TOKEN = rf"(\s*)({_NAME})(?::({_NAME}))?\s*(.?)"
+# The skeleton path's patterns.  Each pass is linear in the text and scans
+# for its first character in C.
 # Whitespace the grammar allows: a run after the start, '(' or ',', or a run
 # that ends at a delimiter or the end; the lookbehinds try a run only at
 # its first character.
 _SPACE = r"\s(?:(?<![^(,]\s)\s*|(?<!\s\s)\s*(?=[(),;]|\Z))"
 # A well-formed ':length' that ends at ')', ',', ';' or the end.
-_LENGTH = rf"(?<!;):(?:{_BRANCH_LENGTH.pattern})(?=[),;]|\Z)"
+_LENGTH = rf"(?<!;):(?:{_BRANCH_LENGTH})(?=[),;]|\Z)"
 # What no valid statement keeps after those passes, or a label before '('.
 _LEFTOVER = r"[\s:\ufeff(](?<![(),;]\()(?<!^\()"
 # A leaf's label follows '(' or ',' and precedes no '('.
@@ -103,8 +106,9 @@ class NewickDocument(namedtuple("NewickDocument", "shape labels")):
             labels = tuple(labels)
             if len(labels) != shape.leaf_count:
                 raise ValueError("need exactly one label per leaf")
+            is_name = re.compile(_NAME).fullmatch
             for label in labels:
-                if not isinstance(label, str) or not _NAME.fullmatch(label):
+                if not isinstance(label, str) or not is_name(label):
                     raise ValueError(f"label {label!r} is not an unquoted Newick name")
             labels = labels if any(labels) else None
         return super().__new__(cls, shape, labels)
@@ -172,44 +176,50 @@ def _parse_skeleton(text: str, labels: bool) -> "NewickDocument | None":
 def _parse_tokens(text: str) -> NewickDocument:
     """One regex match and one step per token; reports the first error's offset."""
     begin = 1 if text.startswith("\ufeff") else 0
-    # Open internal nodes: (collected children, offset of their '(').
-    stack: "list[tuple[list[Tree], int]]" = []
+    # Open internal nodes: the offset of each one's '(', and its first child,
+    # None until its ',' is read.  Eight bytes and a list slot per '('.
+    opens = array("q")
+    stack: "list[Tree | None]" = []
     labels: list[str] = []
     leaf = Tree()
     # Hash-consing: one node per ordered child pair.  Keyed on identities,
     # which the table keeps alive; ``Tree.__hash__`` would build codes.
     interned: "dict[tuple[int, int], Tree]" = {}
     node = None  # the completed subtree awaiting its delimiter, if any
-    tokens = _TOKEN.finditer(text, begin)
+    is_length = re.compile(_BRANCH_LENGTH).fullmatch
+    tokens = re.compile(_TOKEN, re.S).finditer(text, begin)
     for m in tokens:
         space, label, length, ch = m.groups()
         if node is None:
             if ch == "(" and not label and length is None:
-                stack.append(([], m.end() - 1))
+                opens.append(m.end() - 1)
+                stack.append(None)
                 continue
             labels.append(label)
             node = leaf
         elif space and (label or length is not None):
             at = m.end(1)  # an internal label follows its ')' directly
             break
-        if length is not None and not _BRANCH_LENGTH.fullmatch(length):
+        if length is not None and not is_length(length):
             raise NewickError("invalid branch length", m.start(3))
         if stack:
-            children, open_at = stack[-1]
-            children.append(node)
+            first = stack[-1]
             if ch == ",":
-                if len(children) > 1:
-                    raise NewickArityError("node has more than two children", open_at)
+                if first is not None:
+                    raise NewickArityError("node has more than two children", opens[-1])
+                stack[-1] = node
                 node = None
                 continue
             if ch == ")":
-                if len(children) != 2:
-                    raise NewickArityError("node has fewer than two children", open_at)
+                if first is None:
+                    raise NewickArityError("node has fewer than two children", opens[-1])
                 stack.pop()
-                key = (id(children[0]), id(children[1]))
+                opens.pop()
+                second = node
+                key = (id(first), id(second))
                 node = interned.get(key)
                 if node is None:
-                    node = interned[key] = Tree(*children)
+                    node = interned[key] = Tree(first, second)
                 continue
         elif ch == ";":
             at = next(tokens).end(1)

@@ -514,6 +514,19 @@ class TestTable:
             "4,1,1.000000000",
         ]
 
+    def test_rows_rendered_before_running_out_of_memory_are_written(self, capsys, monkeypatch):
+        decimal = cli._decimal
+
+        def out_at_five(p, q, digits):
+            if (p, q) == (13, 16):
+                raise MemoryError
+            return decimal(p, q, digits)
+
+        monkeypatch.setattr(cli, "_decimal", out_at_five)
+        rc, out, err = run(capsys, ["table", "--from", "2", "--to", "6", "--format", "plain"])
+        assert (rc, err) == (2, "error: out of memory\n")
+        assert out == "2 1 1.000000000\n3 3/4 0.7500000000\n4 1 1.000000000\n"
+
     @pytest.mark.parametrize("fmt,sep", [("csv", ","), ("tsv", "\t"), ("plain", " ")])
     @pytest.mark.parametrize("precision,hi", [(1, 3000), (10, 3000), (60, 3000), (10000, 50)])
     def test_rows_equal_the_fraction_rendering(self, capsys, fmt, sep, precision, hi):
@@ -530,6 +543,29 @@ class TestTable:
             value = max_value_recursive(n)
             expected.append(sep.join((str(n), str(value), _reference_decimal(value, precision))))
         assert rows == expected
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", "--from", "1", "--to", "20000"], ["enumerate", "--n", "14", "--emit-newick"]]
+)
+def test_bulk_output_is_written_in_blocks(monkeypatch, argv):
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    text = out.getvalue()
+    assert text.count("\n") > 2000
+    # Every write but the last carries at least 16 KB.
+    assert 1 <= out.writes <= len(text) // 2**14 + 1
 
 
 class TestEnumerate:

@@ -9,6 +9,8 @@ import pytest
 from treebalance import extremal
 from treebalance.extremal import (
     ExtremalReport,
+    _recursive_ratio,
+    _recursive_ratios,
     max_value_closed,
     max_value_even_recursion,
     max_value_recursive,
@@ -121,6 +123,45 @@ def test_formulas_equal_their_definitions_for_huge_n(n):
     assert max_value_closed(n) == _closed_reference(n)
 
 
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (1, 5000),
+        (0, 40),
+        (600, 1700),  # straddles 1024: rows past 1624 read kept rows
+        (1024, 1024),
+        (30000, 140000),  # straddles 65536 and 131072
+        (65000, 66100),
+        (999990, 1000000),
+        (0, 0),
+        (1, 1),
+        (777, 777),
+        (65535, 65535),
+        (3, 2),
+    ],
+)
+def test_table_sweep_equals_the_per_n_loop(lo, hi):
+    assert list(_recursive_ratios(lo, hi)) == [_recursive_ratio(n) for n in range(lo, hi + 1)]
+
+
+def test_table_sweep_keeps_only_the_rows_peeled_down_to():
+    # Of rows 1..200000, only those up to 200000 - 2**17 are some later
+    # row's remainder: 551 KB as 8-byte entries, against 1.6 MB for all rows.
+    tracemalloc.start()
+    try:
+        for _ in _recursive_ratios(1, 200000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_table_sweep_rejects_negative_rows():
+    with pytest.raises(ValueError):
+        next(_recursive_ratios(-1, 3))
+
+
 def test_even_recursion_matches_to_2048():
     for n in range(2, 2049, 2):
         assert max_value_even_recursion(n) == max_value_recursive(n)
@@ -221,11 +262,11 @@ class TestVerifyExtremal:
     def test_uses_no_maximum_formula(self, monkeypatch):
         expected = {n: max_value_recursive(n) for n in range(2, 13)}
 
-        def fail(n):
+        def fail(*args):
             raise AssertionError("verify_extremal evaluated a maximum-value formula")
 
         for name in ("max_value_recursive", "max_value_closed", "max_value_even_recursion",
-                     "_recursive_ratio", "_closed_ratio"):
+                     "_recursive_ratio", "_recursive_ratios", "_closed_ratio"):
             monkeypatch.setattr(extremal, name, fail)
         for n, value in expected.items():
             *_, report = verify_extremal(n)

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -242,6 +243,19 @@ class TestParseErrors:
             parse_newick(text)
         # A quadratic pass would take hours at this size; the token loop's 10**6 steps take seconds.
         assert time.perf_counter() - start < 20
+
+    def test_unclosed_parentheses_cost_a_few_bytes_each(self):
+        text = "(" * 10**5
+        tracemalloc.start()
+        try:
+            with pytest.raises(NewickError, match=r"^unexpected end of input \(offset 100000\)$"):
+                parse_newick(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.6 MB measured: an offset and a list slot per '('.  A list and a
+        # tuple per '(' peaked at 14.6 MB.
+        assert peak < 3 * 2**20
 
 
 class TestWrite:
