@@ -130,7 +130,13 @@ def _read_input(path: str) -> str:
     # Strict UTF-8 with universal newlines either way: sys.stdin itself
     # follows the locale and may turn undecodable bytes into surrogates.
     if path == "-":
-        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8").read()
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        try:
+            return stdin.read()
+        finally:
+            # Collected while attached, the wrapper would close the buffer,
+            # and with it the process's stdin.
+            stdin.detach()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 

@@ -35,10 +35,11 @@ Parsing takes one of two paths, chosen by the input alone.  A valid
 statement is read from its skeleton: a few regex passes delete the
 whitespace the grammar allows and the well-formed branch lengths, one
 search rejects whatever else no valid statement holds, and the labels are
-dropped, so that one Python loop runs over the delimiters ``(),`` only;
-the leaf labels, when wanted, come from one ``findall``.  Any text that
-path rejects goes to a loop with one regex match per token, which finds
-the first error and its offset.  Every pass is linear in the text.
+dropped, so that one Python loop runs over the delimiters ``(),`` only,
+taking the text a block at a time; the leaf labels, when wanted, come
+from one ``findall``.  Any text that path rejects goes to a loop with
+one regex match per token, which finds the first error and its offset.
+Every pass is linear in the text.
 """
 
 import re
@@ -72,6 +73,8 @@ _LEFTOVER = r"[\s:\ufeff(](?<![(),;]\()(?<!^\()"
 _LEAF_LABEL = r"[(,]([^(),;]*)(?!\()"
 _NOT_NODE_BYTES = bytes(set(range(256)).difference(b"(),"))
 _OPEN, _COMMA = b"(,"
+#: Characters the skeleton loop encodes and strips at a time.
+_BLOCK = 1 << 16
 
 
 class NewickError(ValueError):
@@ -139,30 +142,33 @@ def _parse_skeleton(text: str, labels: bool) -> "NewickDocument | None":
     if re.search(_LEFTOVER, text) or not text.endswith(";") or text.find(";") < len(text) - 1:
         return None
     leaf = Tree()
-    interned: "dict[tuple[int, int], Tree]" = {}
+    interned: "dict[int, Tree]" = {}
     # First children of the open nodes; None until the node's ',' is read.
     stack: "list[Tree | None]" = []
     node = None  # the completed internal node awaiting its delimiter, if any
-    # The delimiters are ASCII, so every label's bytes, and the final ';', go at once.
-    for ch in text.encode("utf-8", "surrogatepass").translate(None, _NOT_NODE_BYTES):
-        if ch == _OPEN:
-            if node is not None:
-                return None
-            stack.append(None)
-        elif ch == _COMMA:
-            if not stack or stack[-1] is not None:
-                return None
-            stack[-1] = node or leaf
-            node = None
-        else:
-            first = stack.pop() if stack else None
-            if first is None:
-                return None
-            second = node or leaf
-            key = (id(first), id(second))
-            node = interned.get(key)
-            if node is None:
-                node = interned[key] = Tree(first, second)
+    # The delimiters are ASCII, so every label's bytes, and the final ';', go
+    # at once; a block at a time, so that no copy of the whole text is made.
+    for start in range(0, len(text), _BLOCK):
+        block = text[start : start + _BLOCK].encode("utf-8", "surrogatepass")
+        for ch in block.translate(None, _NOT_NODE_BYTES):
+            if ch == _OPEN:
+                if node is not None:
+                    return None
+                stack.append(None)
+            elif ch == _COMMA:
+                if not stack or stack[-1] is not None:
+                    return None
+                stack[-1] = node or leaf
+                node = None
+            else:
+                first = stack.pop() if stack else None
+                if first is None:
+                    return None
+                second = node or leaf
+                key = id(first) << 64 | id(second)
+                node = interned.get(key)
+                if node is None:
+                    node = interned[key] = Tree(first, second)
     if stack:
         return None
     if not labels:
@@ -182,9 +188,10 @@ def _parse_tokens(text: str) -> NewickDocument:
     stack: "list[Tree | None]" = []
     labels: list[str] = []
     leaf = Tree()
-    # Hash-consing: one node per ordered child pair.  Keyed on identities,
-    # which the table keeps alive; ``Tree.__hash__`` would build codes.
-    interned: "dict[tuple[int, int], Tree]" = {}
+    # Hash-consing: one node per ordered child pair, keyed by one int made
+    # of the two identities (each below 2**64), which the table keeps alive;
+    # ``Tree.__hash__`` would build codes.
+    interned: "dict[int, Tree]" = {}
     node = None  # the completed subtree awaiting its delimiter, if any
     is_length = re.compile(_BRANCH_LENGTH).fullmatch
     tokens = re.compile(_TOKEN, re.S).finditer(text, begin)
@@ -216,7 +223,7 @@ def _parse_tokens(text: str) -> NewickDocument:
                 stack.pop()
                 opens.pop()
                 second = node
-                key = (id(first), id(second))
+                key = id(first) << 64 | id(second)
                 node = interned.get(key)
                 if node is None:
                     node = interned[key] = Tree(first, second)

@@ -82,19 +82,26 @@ def _postorder(t: Tree, done: "Callable[[Tree], bool] | None" = None) -> "list[T
     out together with everything below it.
     """
     order: list[Tree] = []
-    expanded: set[int] = set()
-    stack = [(t, False)]
+    # id(node) -> whether the node is in ``order`` yet; absent until expanded.
+    listed: dict[int, bool] = {}
+    stack = [t]
     while stack:
-        node, ready = stack.pop()
-        if ready:
+        node = stack.pop()
+        if node.left is None:
+            continue
+        key = id(node)
+        state = listed.get(key)
+        if state is None:
+            if done is not None and done(node):
+                continue
+            # The node goes back on the stack below its children.  No other
+            # push of it can lie above that one, since only its descendants
+            # are pushed there, so its next pop is the one that lists it.
+            listed[key] = False
+            stack += node, node.left, node.right
+        elif not state:
+            listed[key] = True
             order.append(node)
-            continue
-        # A node expanded earlier is in ``order`` already: were it not, the
-        # parent that pushed it again would lie below it.
-        if node.left is None or id(node) in expanded or (done is not None and done(node)):
-            continue
-        expanded.add(id(node))
-        stack += (node, True), (node.left, False), (node.right, False)
     return order
 
 
@@ -110,7 +117,13 @@ def canonical(t: Tree) -> CanonicalCode:
     """
     if t._code is not None:
         return t._code
-    for node in _postorder(t, lambda v: v._code is not None):
+    # A node whose children are coded, as a shape built from coded ones is,
+    # needs no walk.
+    if t.left._code is None or t.right._code is None:
+        nodes = _postorder(t, lambda v: v._code is not None)
+    else:
+        nodes = (t,)
+    for node in nodes:
         first, second = decompose(node)
         node._code = "(" + first._code + "," + second._code + ")"
     return t._code

@@ -129,6 +129,15 @@ class TestCompute:
         assert rc == 0
         assert out == "1 (1.000000000)\n"
 
+    def test_stdin_stays_open_after_a_call(self, capsys, monkeypatch):
+        # An in-process caller may run ``compute -`` again on the same stdin.
+        buffer = io.BytesIO(b"(A,B);")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(buffer))
+        for _ in range(2):
+            buffer.seek(0)
+            assert run(capsys, ["compute", "-"]) == (0, "1 (1.000000000)\n", "")
+        assert not buffer.closed
+
     def test_three_leaves(self, capsys, monkeypatch):
         rc, out, _ = run(capsys, ["compute", "-"], "((A,B),C);", monkeypatch)
         assert rc == 0

@@ -148,6 +148,34 @@ class TestParse:
             assert agrees_with_the_token_loop(text)
         assert calls == []
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 1 << 16])
+    def test_the_skeleton_takes_its_text_a_block_at_a_time(self, monkeypatch, block):
+        # About 150000 characters: several default blocks.  The two-byte and
+        # three-byte labels put block edges inside labels and characters.
+        shape = echelon(12345)
+        labels = tuple(f"\xe9{i}\u65e5" for i in range(shape.leaf_count))
+        text = " " + write_newick(NewickDocument(shape, labels)) + "\n"
+        calls = []
+        monkeypatch.setattr(newick, "_BLOCK", block)
+        monkeypatch.setattr(newick, "_parse_tokens", lambda text: calls.append(text) or _parse_tokens(text))
+        assert agrees_with_the_token_loop(text)
+        assert calls == []
+
+    def test_parsing_holds_little_beyond_the_tree_it_builds(self):
+        # A caterpillar has a distinct node per leaf, each interned once.
+        n = 50000
+        text = write_newick(NewickDocument(caterpillar(n)))
+        tracemalloc.start()
+        try:
+            doc = parse_newick(text, labels=False)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert doc.shape.leaf_count == n
+        # 105 B per node measured: a dict slot and one int key each.  A key
+        # that was a tuple of two ids took 174.
+        assert peak - held < 125 * n
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(

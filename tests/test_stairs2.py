@@ -175,6 +175,21 @@ def test_memory_follows_the_frontier_not_the_tree(fn, shape):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("fn", [_postorder, stairs2_direct], ids=lambda fn: fn.__name__)
+def test_walk_holds_little_per_distinct_node(fn):
+    n = 50000
+    t = caterpillar(n)
+    tracemalloc.start()
+    try:
+        fn(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 114 B per node measured: a state-table slot, its int key and a stack
+    # and list slot each.  A (node, ready) tuple per push took 137.
+    assert peak < 128 * n
+
+
 def test_deep_tree_no_recursion_limit():
     value = stairs2_direct(caterpillar(3000))
     assert stairs2_recursive(caterpillar(3000)) == value
