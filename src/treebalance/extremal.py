@@ -29,17 +29,24 @@ whether the maximizer is unique and is the echelon tree, whether the
 minimizer is unique and is the caterpillar, and whether both root
 subtrees of every maximizer attain the maximum for their own sizes.
 That maximum is the enumerated one, the largest score among the shapes
-of that size, so the check uses none of the three formulas.
+of that size, so the check uses none of the three formulas.  It builds
+no tree per shape: the scores of each size are one signed 64-bit array,
+8 bytes a score, in the enumeration order of ``shapes.split_blocks``, and
+each split's block of them is summed from the arrays of its two child
+sizes by C-level iterators.  Only the argmax and argmin entries become
+trees, decoded from their index by ``_split_at``.
 """
 
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 from .families import caterpillar, echelon
-from .shapes import DEFAULT_ENUM_BOUND, _shapes, enumerate_shapes
+from .shapes import DEFAULT_ENUM_BOUND, check_leaf_count, root_splits, split_blocks
 from .tree import LimitError, Tree, canonical
 
 # The largest max_n whose scores fit a signed 64-bit array: none exceeds
@@ -203,6 +210,44 @@ class ExtremalReport(
     __slots__ = ()
 
 
+def _split_at(n: int, i: int, items: "Sequence[Sequence]") -> "tuple[tuple[int, int], ...]":
+    """The children ((m1, a), (m2, b)) of entry i of the n-leaf enumeration.
+
+    They are entry a of the m1-leaf and entry b of the m2-leaf enumeration.
+    The blocks of ``shapes.split_blocks`` are walked by their sizes, read
+    from the lengths of ``items[1..n-1]``; nothing else of them is read.
+    """
+    for m1, m2 in root_splits(n):
+        c1, c2 = len(items[m1]), len(items[m2])
+        if m1 > m2:
+            if i < c1 * c2:
+                a, b = divmod(i, c2)
+                return (m1, a), (m2, b)
+            i -= c1 * c2
+        else:
+            # Equal halves: row a of the triangle pairs a with a..c1-1.
+            for a in range(c1):
+                if i < c1 - a:
+                    return (m1, a), (m2, a + i)
+                i -= c1 - a
+    raise IndexError(f"no {n}-leaf shape has this index")
+
+
+def _shape_at(n: int, i: int, items: "Sequence[Sequence]") -> Tree:
+    """Entry i of the n-leaf enumeration as a tree, decoded by ``_split_at``."""
+    if n == 1:
+        return Tree()
+    return Tree(*(_shape_at(m, k, items) for m, k in _split_at(n, i, items)))
+
+
+def _where(row: array, value: int) -> "Iterator[int]":
+    """Yield the indices of ``value`` in ``row``, by C-level scans."""
+    i = -1
+    for _ in range(row.count(value)):
+        i = row.index(value, i + 1)
+        yield i
+
+
 def verify_extremal(max_n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[ExtremalReport]:
     """Score every shape of each leaf count n = 2..max_n; yield one report per n.
 
@@ -210,39 +255,39 @@ def verify_extremal(max_n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Ext
     ``scale = lcm(1..max_n-1)``: ``scale`` times the sum of min/max child
     leaf-count ratios over its internal nodes, an integer.  So uniqueness
     is decided by exact integer equality; there is no epsilon anywhere.
-    The children of every n-leaf shape are cached shapes of smaller sizes,
-    and the sizes run from the smallest, so each shape is scored once, in
-    one step from its children's scores; a maximizer's root subtree attains
-    its own maximum when its score is the largest of its size.  Lazily, as
-    the reports are drawn: ValueError for max_n < 2 and LimitError for
-    max_n > ``MAX_VERIFY_N`` before the first, and LimitError after the
-    last report for a size within ``bound``.
+    Over a root split (m1, m2) that score is ``scale * m2 // m1`` plus the
+    scores of the two children, so the n-leaf scores are one array summed
+    block by block from the arrays of smaller sizes, in enumeration order,
+    with no tree and no Python step per shape: 8 bytes a score, which
+    ``MAX_VERIFY_N`` keeps below 2**63.  Only the argmax and argmin entries
+    are decoded into trees, for their canonical codes; a maximizer's root
+    subtree attains its own maximum when its score is the largest of its
+    size.  Lazily, as the reports are drawn: ValueError for max_n < 2 and
+    LimitError for max_n > ``MAX_VERIFY_N`` before the first, and
+    LimitError after the last report for a size within ``bound``.
     """
     if max_n < 2:
         raise ValueError("extremal verification needs at least two leaves")
     if max_n > MAX_VERIFY_N:
         raise LimitError(f"max_n={max_n} exceeds the scoring bound {MAX_VERIFY_N}")
     scale = math.lcm(*range(1, max_n))
-    sums = {id(_shapes[1][0]): 0}
+    # scores[m]: every m-leaf shape's score, in enumeration order.
+    scores: "list[Sequence[int]]" = [(), (0,)]
     largest = [0, 0]
-
-    def score(t: Tree) -> int:
-        na, nb = t.left.leaf_count, t.right.leaf_count
-        return scale * min(na, nb) // max(na, nb) + sums[id(t.left)] + sums[id(t.right)]
-
     for n in range(2, max_n + 1):
-        # One call per size, read once: it checks the bound and fills the cache.
-        shapes = tuple(enumerate_shapes(n, bound))
-        # 8 bytes a score, not an int object each, as they are held at verify's
-        # memory peak; MAX_VERIFY_N keeps them below 2**63.
-        scores = array("q", map(score, shapes))
-        best, worst = max(scores), min(scores)
-        max_trees = [t for t, s in zip(shapes, scores) if s == best]
-        max_codes = tuple(sorted(canonical(t) for t in max_trees))
-        min_codes = tuple(sorted(canonical(t) for t, s in zip(shapes, scores) if s == worst))
+        check_leaf_count(n, bound)
+        blocks = (map((scale * m2 // m1).__add__, block)
+                  for m1, m2, block in split_blocks(n, scores, add))
+        row = array("q", chain.from_iterable(blocks))
+        scores.append(row)
+        best, worst = max(row), min(row)
+        largest.append(best)
+        max_at = list(_where(row, best))
+        max_codes = tuple(sorted(canonical(_shape_at(n, i, scores)) for i in max_at))
+        min_codes = tuple(sorted(canonical(_shape_at(n, i, scores)) for i in _where(row, worst)))
         yield ExtremalReport(
             n=n,
-            shape_count=len(shapes),
+            shape_count=len(row),
             max_value=Fraction(best, scale * (n - 1)),
             min_value=Fraction(worst, scale * (n - 1)),
             max_witnesses=max_codes,
@@ -250,12 +295,6 @@ def verify_extremal(max_n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Ext
             max_unique_and_is_echelon=max_codes == (canonical(echelon(n)),),
             min_unique_and_is_caterpillar=min_codes == (canonical(caterpillar(n)),),
             subtree_maximality_holds=all(
-                sums[id(part)] == largest[part.leaf_count]
-                for tree in max_trees
-                for part in (tree.left, tree.right)
+                scores[m][k] == largest[m] for i in max_at for m, k in _split_at(n, i, scores)
             ),
         )
-        # The last size is nobody's child: its scores are not kept.
-        if n < max_n:
-            sums.update(zip(map(id, shapes), scores))
-            largest.append(best)

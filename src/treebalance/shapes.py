@@ -9,12 +9,23 @@ the two act as independent checks on each other:
     w(2m + 1) = sum_{i=1..m} w(i) w(2m + 1 - i)
     w(2m)     = sum_{i=1..m-1} w(i) w(2m - i)  +  w(m) (w(m) + 1) / 2
 
+The enumeration order is written once, in ``split_blocks(m, items,
+join)``: the root splits m = m1 + m2 with m1 >= m2 >= 1, larger side
+first, and per split ``join(a, b)`` for every pair of items[m1] and
+items[m2], a-major when m1 > m2 and one per unordered pair
+(``combinations_with_replacement``) when m1 = m2.  ``root_splits(m)``
+gives the split order alone.  ``items[k]`` is any sequence with one entry
+per k-leaf shape, in enumeration order: here the shapes, joined by
+``Tree``; in ``extremal.verify_extremal`` their scores, joined by
+addition, so that no tree is built per shape there.
+
 The shape lists are built bottom-up and cached: ``_shapes[m]`` holds every
 m-leaf shape, and the shapes of each new leaf count pair up the cached
 shapes of smaller counts, so all of them share subtree objects.
 """
 
-from itertools import combinations_with_replacement
+from collections.abc import Callable, Iterator, Sequence
+from itertools import chain, combinations_with_replacement, repeat, starmap
 
 from .tree import LimitError, Tree
 
@@ -25,6 +36,37 @@ DEFAULT_ENUM_BOUND = 18
 _shapes: "list[tuple[Tree, ...]]" = [(), (Tree(),)]
 
 
+def check_leaf_count(n: int, bound: int) -> None:
+    """ValueError below one leaf, LimitError above the enumeration ``bound``."""
+    if n < 1:
+        raise ValueError("need at least one leaf")
+    if n > bound:
+        raise LimitError(f"n={n} exceeds the enumeration bound {bound}")
+
+
+def root_splits(m: int) -> "Iterator[tuple[int, int]]":
+    """Yield the root splits (m1, m2) of m leaves, m1 >= m2 >= 1, larger side first."""
+    return ((m1, m - m1) for m1 in range(m - 1, (m - 1) // 2, -1))
+
+
+def split_blocks(m: int, items: "Sequence[Sequence]", join: Callable) -> Iterator:
+    """Yield (m1, m2, block) per root split of m leaves, in enumeration order.
+
+    ``block`` gives ``join(a, b)`` for the children (a, b) of each m-leaf
+    entry of the split, a from ``items[m1]`` and b from ``items[m2]``: every
+    pair, a-major, when m1 > m2, and one per unordered pair when m1 = m2.
+    An a-major block is one lazy pass over ``items[m1]`` per b, read in
+    step, so no side is copied; each block is made only when the one before
+    it is drawn.
+    """
+    for m1, m2 in root_splits(m):
+        if m1 > m2:
+            columns = [map(join, items[m1], repeat(b)) for b in items[m2]]
+            yield m1, m2, chain.from_iterable(zip(*columns))
+        else:
+            yield m1, m2, starmap(join, combinations_with_replacement(items[m1], 2))
+
+
 def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ...]":
     """Return every n-leaf shape exactly once, in a fixed deterministic order.
 
@@ -33,20 +75,13 @@ def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ..
     checked when called: ValueError below one leaf, LimitError above
     ``bound``.
     """
-    if n < 1:
-        raise ValueError("need at least one leaf")
-    if n > bound:
-        raise LimitError(f"n={n} exceeds the enumeration bound {bound}")
+    check_leaf_count(n, bound)
     for m in range(len(_shapes), n + 1):
-        out = []
-        # Splits m = m1 + m2 with m1 >= m2 >= 1, larger side first.
-        for m1 in range(m - 1, (m + 1) // 2 - 1, -1):
-            m2 = m - m1
-            if m1 > m2:
-                out.extend(Tree(a, b) for a in _shapes[m1] for b in _shapes[m2])
-            else:
-                # Equal halves: one tree per unordered pair of shapes.
-                out.extend(Tree(a, b) for a, b in combinations_with_replacement(_shapes[m1], 2))
+        # A list, then one exact tuple: a tuple grown from the iterator came
+        # to 0.2-0.3 MB more peak RSS on `enumerate --n 17 --emit-newick`.
+        out: "list[Tree]" = []
+        for _, _, block in split_blocks(m, _shapes, Tree):
+            out.extend(block)
         _shapes.append(tuple(out))
     return _shapes[n]
 

@@ -1,16 +1,19 @@
 import math
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from treebalance import extremal
+from treebalance import extremal, shapes
 from treebalance.extremal import (
     ExtremalReport,
     _recursive_ratio,
     _recursive_ratios,
+    _shape_at,
+    _split_at,
     max_value_closed,
     max_value_even_recursion,
     max_value_recursive,
@@ -276,16 +279,65 @@ class TestVerifyExtremal:
             assert report.subtree_maximality_holds
 
     def test_subtree_check_can_fail(self, monkeypatch):
-        # The cached 5-leaf caterpillar is not maximal for its size, so a
-        # 6-leaf "maximizer" built on it breaks subtree maximality.
-        cat5 = next(t for t in enumerate_shapes(5) if canonical(t) == canonical(caterpillar(5)))
-        leaf = enumerate_shapes(1)[0]
-        monkeypatch.setattr(
-            extremal,
-            "enumerate_shapes",
-            lambda n, bound: enumerate_shapes(n, bound) if n < 6 else [Tree(cat5, leaf)],
-        )
+        # Raise the 6-leaf entry (caterpillar(5), leaf) above the rest: its
+        # 5-leaf child is not maximal for its size, so the "maximizer" breaks
+        # subtree maximality, and it is not the echelon tree either.  The
+        # (5, 1) split is the first block and a leaf count has one shape, so
+        # the entry's index is the caterpillar's index among the 5-leaf shapes.
+        cat5 = canonical(caterpillar(5))
+        at = next(i for i, t in enumerate(enumerate_shapes(5)) if canonical(t) == cat5)
+        sizes = iter(range(2, 7))
+
+        def raising_array(typecode, items):
+            scores = array(typecode, items)
+            if next(sizes) == 6:
+                scores[at] = max(scores) + 1
+            return scores
+
+        monkeypatch.setattr(extremal, "array", raising_array)
         *_, report = verify_extremal(6)
-        assert report.shape_count == 1
+        assert report.shape_count == 6
+        assert report.max_witnesses == (canonical(Tree(caterpillar(5), Tree())),)
         assert not report.subtree_maximality_holds
         assert not report.max_unique_and_is_echelon
+
+    def test_tied_scores_give_every_witness(self, monkeypatch):
+        # With every 6-leaf score equal, each shape is an argmax and an argmin.
+        sizes = iter(range(2, 7))
+
+        def flat_array(typecode, items):
+            scores = array(typecode, items)
+            return array(typecode, [0]) * len(scores) if next(sizes) == 6 else scores
+
+        monkeypatch.setattr(extremal, "array", flat_array)
+        *_, report = verify_extremal(6)
+        every = tuple(sorted(canonical(t) for t in enumerate_shapes(6)))
+        assert report.max_witnesses == report.min_witnesses == every
+        assert not report.max_unique_and_is_echelon
+        assert not report.min_unique_and_is_caterpillar
+
+    def test_decoded_shapes_are_the_enumerated_ones(self):
+        items = [(), *(enumerate_shapes(m) for m in range(1, 13))]
+        for n in range(2, 13):
+            decoded = [canonical(_shape_at(n, i, items)) for i in range(len(items[n]))]
+            assert decoded == [canonical(t) for t in items[n]], f"n={n}"
+            with pytest.raises(IndexError):
+                _split_at(n, len(items[n]), items)
+
+    def test_sweep_holds_a_few_bytes_per_shape(self):
+        # 8 bytes a score, about 0.8 MB of arrays for the 100k shapes of 2..18
+        # leaves; a tree and a dict slot per shape came to 12.8 MB.
+        tracemalloc.start()
+        try:
+            for _ in verify_extremal(18):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_sweep_fills_no_shape_cache(self, monkeypatch):
+        monkeypatch.setattr(shapes, "_shapes", shapes._shapes[:2])
+        *_, report = verify_extremal(12)
+        assert report.max_unique_and_is_echelon
+        assert len(shapes._shapes) == 2
