@@ -31,8 +31,8 @@ from .extremal import (
     verify_extremal,
 )
 from .families import caterpillar, echelon, fully_balanced
-from .newick import NewickDocument, parse_newick, write_newick, write_shapes
-from .shapes import DEFAULT_ENUM_BOUND, count_shapes, enumerate_shapes
+from .newick import NewickDocument, parse_newick, write_newick
+from .shapes import DEFAULT_ENUM_BOUND, canonical_codes, count_shapes
 from .stairs2 import stairs2_direct, stairs2_recursive
 
 TABLE_RANGE_CAP = 10**6
@@ -302,7 +302,10 @@ def cmd_table(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.emit_newick:
-        _write_lines(write_shapes(enumerate_shapes(args.n, _enum_bound())))
+        codes = canonical_codes(args.n, _enum_bound())
+        # A code is the shape's unlabeled Newick template, one "%s" per leaf.
+        names = tuple(f"t{i}" for i in range(1, args.n + 1))
+        _write_lines(code % names + ";" for code in codes)
         return 0
     if args.n > COUNT_LEAF_CAP:
         raise ValueError(f"{args.n} leaves is over the bound of {COUNT_LEAF_CAP}")

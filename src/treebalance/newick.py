@@ -45,9 +45,8 @@ Every pass is linear in the text.
 import re
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator
 
-from .tree import Tree, canonical, decompose
+from .tree import Tree, decompose
 
 # Every pattern is a string, compiled on first use through ``re``'s cache,
 # so that commands which parse nothing do not pay for them at start-up.
@@ -252,9 +251,7 @@ def write_newick(doc: NewickDocument) -> str:
     Children are emitted in canonical order (larger subtree first, code as
     tie-break), so unlabeled output is deterministic per shape; labels
     follow their leaves through the reordering.  Missing labels come out
-    as t1, t2, ... numbered in output order.  No branch lengths.  For
-    many small unlabeled shapes that share subtrees, such as a full
-    enumeration, :func:`write_shapes` writes them all at once.
+    as t1, t2, ... numbered in output order.  No branch lengths.
     """
     shape, labels = doc.shape, doc.labels
     out: list[str] = []
@@ -286,34 +283,3 @@ def write_newick(doc: NewickDocument) -> str:
         stack.append("(")
     return "".join(out) + ";"
 
-
-def write_shapes(shapes) -> "Iterator[str]":
-    """Yield unlabeled shapes as Newick lines, sorted by canonical code.
-
-    The lines are those of ``[write_newick(NewickDocument(s)) for s in
-    sorted(shapes, key=canonical)]``, but each distinct subtree is written
-    once, as its canonical code, which is its unlabeled Newick template
-    (see :func:`~treebalance.tree.canonical`).  A shape is keyed by the
-    codes of its two children, ``decompose`` order, and its leaf count, so
-    the shapes themselves get no cached code.  Codes are prefix-free, so
-    the keys sort as the shapes' own codes would.  A line is its key's
-    pair filled, with one ``%``, by t1, t2, ... in order; a lone leaf is
-    ``t1;``.
-
-    A code holds its whole subtree, so the cost is the total length of
-    the distinct codes: fine for many small shapes, quadratic on a
-    caterpillar.  Single documents, labels and deep trees belong to
-    :func:`write_newick`.
-    """
-    keys = []
-    for shape in shapes:
-        # A lone leaf's ("%s", "") sorts before every pair, as its code does.
-        pair = ("%s", "") if shape.left is None else map(canonical, decompose(shape))
-        keys.append((*pair, shape.leaf_count))
-    keys.sort()
-    names: "dict[int, tuple[str, ...]]" = {}
-    for first, second, n in keys:
-        if n not in names:
-            names[n] = tuple(f"t{i}" for i in range(1, n + 1))
-        template = "(" + first + "," + second + ");" if second else "%s;"
-        yield template % names[n]

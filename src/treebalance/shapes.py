@@ -15,25 +15,25 @@ first, and per split ``join(a, b)`` for every pair of items[m1] and
 items[m2], a-major when m1 > m2 and one per unordered pair
 (``combinations_with_replacement``) when m1 = m2.  ``root_splits(m)``
 gives the split order alone.  ``items[k]`` is any sequence with one entry
-per k-leaf shape, in enumeration order: here the shapes, joined by
-``Tree``; in ``extremal.verify_extremal`` their scores, joined by
-addition, so that no tree is built per shape there.
+per k-leaf shape, in the caller's order; equal halves pair a <= b in it.
+Here the shapes, joined by ``Tree``; in ``canonical_codes`` their
+canonical codes, joined as ``canonical`` joins them; in
+``extremal.verify_extremal`` their scores, joined by addition.  The last
+two build no tree per shape.
 
-The shape lists are built bottom-up and cached: ``_shapes[m]`` holds every
-m-leaf shape, and the shapes of each new leaf count pair up the cached
-shapes of smaller counts, so all of them share subtree objects.
+Each call builds its levels afresh, bottom-up, in a list of its own: the
+shapes of each leaf count pair up those of smaller counts, so the shapes
+of one call share subtree objects.  Nothing is kept between calls.
 """
 
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, combinations_with_replacement, repeat, starmap
 
-from .tree import LimitError, Tree
+from .tree import _LEAF_CODE, CanonicalCode, LimitError, Tree, _join
 
 #: Default ceiling for shape enumeration (the CLI can raise it via the
 #: TREEBALANCE_MAX_ENUM environment variable).  n = 18 means 56011 shapes.
 DEFAULT_ENUM_BOUND = 18
-
-_shapes: "list[tuple[Tree, ...]]" = [(), (Tree(),)]
 
 
 def check_leaf_count(n: int, bound: int) -> None:
@@ -67,23 +67,39 @@ def split_blocks(m: int, items: "Sequence[Sequence]", join: Callable) -> Iterato
             yield m1, m2, starmap(join, combinations_with_replacement(items[m1], 2))
 
 
+def _level(m: int, items: "Sequence[Sequence]", join: Callable) -> list:
+    """Every m-leaf entry, ``join`` of its children, in ``split_blocks`` order."""
+    return list(chain.from_iterable(block for _, _, block in split_blocks(m, items, join)))
+
+
 def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ...]":
     """Return every n-leaf shape exactly once, in a fixed deterministic order.
 
-    The tuple is the cache's own; its trees share subtree objects with each
-    other, and all are immutable, so this is safe.  The arguments are
-    checked when called: ValueError below one leaf, LimitError above
-    ``bound``.
+    The trees share subtree objects with each other, and all are
+    immutable.  The arguments are checked when called: ValueError below one
+    leaf, LimitError above ``bound``.
     """
     check_leaf_count(n, bound)
-    for m in range(len(_shapes), n + 1):
-        # A list, then one exact tuple: a tuple grown from the iterator came
-        # to 0.2-0.3 MB more peak RSS on `enumerate --n 17 --emit-newick`.
-        out: "list[Tree]" = []
-        for _, _, block in split_blocks(m, _shapes, Tree):
-            out.extend(block)
-        _shapes.append(tuple(out))
-    return _shapes[n]
+    shapes: "list[tuple[Tree, ...]]" = [(), (Tree(),)]
+    for m in range(2, n + 1):
+        shapes.append(tuple(_level(m, shapes, Tree)))
+    return shapes[n]
+
+
+def canonical_codes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "list[CanonicalCode]":
+    """Return the canonical code of every n-leaf shape once, sorted; builds no tree.
+
+    Each level is sorted before the next one reads it, so on equal halves
+    a <= b, which is ``decompose``'s tie order, and every joined string is
+    the shape's canonical code.  Checked as ``enumerate_shapes`` is.
+    """
+    check_leaf_count(n, bound)
+    codes: "list[list[CanonicalCode]]" = [[], [_LEAF_CODE]]
+    for m in range(2, n + 1):
+        level = _level(m, codes, _join)
+        level.sort()
+        codes.append(level)
+    return codes[n]
 
 
 def count_shapes(n: int) -> int:

@@ -15,7 +15,9 @@ deep trees such as large caterpillars are safe.  ``canonical`` caches its
 codes on the nodes, across calls; ``height`` keeps one integer per
 distinct node for the length of the call.  Both index evaluations in
 ``stairs2`` use the same walk.  A canonical code is the shape's unlabeled
-Newick template, which ``newick.write_shapes`` fills with leaf names.
+Newick template: ``_LEAF_CODE`` per leaf, ``_join`` of the children's codes
+per internal node.  ``shapes.canonical_codes`` builds the codes of every
+shape of a leaf count from the same two, with no tree.
 """
 
 from collections.abc import Callable
@@ -24,13 +26,18 @@ from collections.abc import Callable
 #: equal codes mean equal shapes.
 CanonicalCode = str
 
+_LEAF_CODE: CanonicalCode = "%s"
+#: The code of an internal node from its children's codes, in ``decompose`` order.
+_join: "Callable[[str, str], str]" = "({},{})".format
+
 
 class LimitError(ValueError):
     """A size guard was hit: the fixed tree height, the fixed scoring bound
     or the enumeration bound.
 
     Only the enumeration bound can be set, through the ``bound`` arguments
-    of :func:`~treebalance.shapes.enumerate_shapes` and
+    of :func:`~treebalance.shapes.enumerate_shapes`,
+    :func:`~treebalance.shapes.canonical_codes` and
     :func:`~treebalance.extremal.verify_extremal`, or the CLI's
     ``TREEBALANCE_MAX_ENUM`` environment variable.  Whatever that bound,
     ``verify_extremal`` refuses a ``max_n`` above 43
@@ -55,7 +62,7 @@ class Tree:
         self.leaf_count = 1 if left is None else left.leaf_count + right.leaf_count
         self.left = left
         self.right = right
-        self._code: str | None = "%s" if left is None else None
+        self._code: str | None = _LEAF_CODE if left is None else None
 
     @property
     def is_leaf(self) -> bool:
@@ -125,7 +132,7 @@ def canonical(t: Tree) -> CanonicalCode:
         nodes = (t,)
     for node in nodes:
         first, second = decompose(node)
-        node._code = "(" + first._code + "," + second._code + ")"
+        node._code = _join(first._code, second._code)
     return t._code
 
 
@@ -134,7 +141,7 @@ def decompose(t: Tree) -> "tuple[Tree, Tree]":
 
     Ties in leaf count are broken by canonical code, so the returned pair
     is deterministic per shape; this is the package's one sibling order,
-    which ``canonical`` and both Newick writers take.  The identity fast
+    which ``canonical`` and ``write_newick`` take.  The identity fast
     path avoids building codes for aliased pairs.  Raises ValueError on a
     leaf.
     """

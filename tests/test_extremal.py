@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from treebalance import extremal, shapes
+from treebalance import extremal
 from treebalance.extremal import (
     ExtremalReport,
     _recursive_ratio,
@@ -336,8 +336,9 @@ class TestVerifyExtremal:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    def test_sweep_fills_no_shape_cache(self, monkeypatch):
-        monkeypatch.setattr(shapes, "_shapes", shapes._shapes[:2])
+    def test_sweep_fills_no_shape_cache(self, no_tree):
+        # The sweep scores without enumerating shapes as trees.
         *_, report = verify_extremal(12)
-        assert report.max_unique_and_is_echelon
-        assert len(shapes._shapes) == 2
+        assert report.n == 12 and report.shape_count == count_shapes(12)
+        assert report.max_unique_and_is_echelon and report.min_unique_and_is_caterpillar
+        assert report.subtree_maximality_holds

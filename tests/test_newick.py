@@ -15,9 +15,8 @@ from treebalance.newick import (
     _parse_tokens,
     parse_newick,
     write_newick,
-    write_shapes,
 )
-from treebalance.shapes import enumerate_shapes
+from treebalance.shapes import canonical_codes, enumerate_shapes
 from treebalance.tree import Tree, _postorder, canonical, is_isomorphic
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=24)
@@ -374,7 +373,7 @@ def reference_code(t):
 
 
 def written_in_code_order(shapes):
-    """The reference for ``write_shapes``: sort by the reference code, write each."""
+    """The reference for ``enumerate --emit-newick``: sort by the reference code, write each."""
     return [write_newick(NewickDocument(s)) for s in sorted(shapes, key=reference_code)]
 
 
@@ -394,28 +393,36 @@ def swapped_copy(t, rng):
 
 
 class TestWriteShapes:
+    """Every shape of a leaf count written from its template, as
+    ``enumerate --emit-newick`` does: ``shapes.canonical_codes``."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_codes_are_the_shapes_in_reference_order(self, n):
+        by_reference = sorted(enumerate_shapes(n), key=reference_code)
+        assert canonical_codes(n) == [canonical(s) for s in by_reference]
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_child_swapped_copies_in_shuffled_order(self, n):
-        # New nodes in another order: neither the cache's child order nor its
-        # shape order can carry the result.
+        # New nodes in another order: neither the enumeration's child order
+        # nor its shape order can carry the result.
         rng = random.Random(n)
         copies = [swapped_copy(s, rng) for s in enumerate_shapes(n)]
         rng.shuffle(copies)
-        assert list(write_shapes(copies)) == written_in_code_order(enumerate_shapes(n))
+        names = tuple(f"t{i}" for i in range(1, n + 1))
+        lines = [code % names + ";" for code in canonical_codes(n)]
+        assert lines == written_in_code_order(copies)
 
-    def test_codes_cached_on_subtrees_only(self):
-        # Each shape is keyed by its children's codes; sorting the shapes by
-        # canonical would cache a code on every one of them.
-        rng = random.Random(12)
-        copies = [swapped_copy(s, rng) for s in enumerate_shapes(12)]
-        list(write_shapes(copies))
-        subtrees = [v for c in copies for v in _postorder(c) if v is not c]
-        assert all(c._code is None for c in copies)
-        assert subtrees and all(v._code is not None for v in subtrees)
+    def test_codes_cached_on_subtrees_only(self, no_tree):
+        # No tree, so no cached code either: the codes are joined as strings.
+        assert len(canonical_codes(12)) == 451
 
     def test_mixed_leaf_counts_sort_as_their_codes(self):
-        shapes = mixed_leaf_counts()
-        assert list(write_shapes(iter(shapes))) == written_in_code_order(shapes)
+        # Codes are prefix-free, so sorted together the levels keep the
+        # reference order across leaf counts too.
+        every_shape = [s for n in range(1, 8) for s in enumerate_shapes(n)]
+        random.Random(0).shuffle(every_shape)
+        codes = sorted(code for n in range(1, 8) for code in canonical_codes(n))
+        assert codes == [canonical(s) for s in sorted(every_shape, key=reference_code)]
 
     def test_canonical_sorts_as_the_reference_code(self):
         every_shape = [s for n in range(1, 15) for s in enumerate_shapes(n)]

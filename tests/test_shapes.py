@@ -1,6 +1,5 @@
 import pytest
 
-from treebalance import shapes
 from treebalance.families import caterpillar, echelon, fully_balanced
 from treebalance.shapes import count_shapes, enumerate_shapes
 from treebalance.tree import LimitError, canonical
@@ -70,14 +69,9 @@ def test_bounds():
         enumerate_shapes(-3)
 
 
-def test_bounds_are_checked_when_called(monkeypatch):
-    # A refused call builds no shape: the cache keeps its length.  Start
-    # from the one-leaf cache, so no earlier call has built the shapes.
-    monkeypatch.setattr(shapes, "_shapes", shapes._shapes[:2])
-    cached = len(shapes._shapes)
+def test_bounds_are_checked_when_called(no_tree):
+    # A refused call builds no tree, not even the leaf of its first level.
     with pytest.raises(LimitError):
         enumerate_shapes(19)
-    assert len(shapes._shapes) == cached
     with pytest.raises(ValueError):
         enumerate_shapes(-3)
-    assert len(shapes._shapes) == cached
