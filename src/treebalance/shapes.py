@@ -16,7 +16,7 @@ items[m2], a-major when m1 > m2 and one per unordered pair
 (``combinations_with_replacement``) when m1 = m2.  ``root_splits(m)``
 gives the split order alone.  ``items[k]`` is any sequence with one entry
 per k-leaf shape, in the caller's order; equal halves pair a <= b in it.
-Here the shapes, joined by ``Tree``; in ``canonical_codes`` their
+Here the shapes, joined by ``Tree``; in ``filled_codes`` their
 canonical codes, joined as ``canonical`` joins them; in
 ``extremal.verify_extremal`` their scores, joined by addition.  The last
 two build no tree per shape.
@@ -24,8 +24,12 @@ two build no tree per shape.
 Each call builds its levels afresh, bottom-up, in a list of its own: the
 shapes of each leaf count pair up those of smaller counts, so the shapes
 of one call share subtree objects.  Nothing is kept between calls.
+``filled_codes`` builds only the levels below n: it yields the n-leaf
+codes in sorted order as it pairs them, so the largest level is never
+held.
 """
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, combinations_with_replacement, repeat, starmap
 
@@ -86,20 +90,45 @@ def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ..
     return shapes[n]
 
 
-def canonical_codes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "list[CanonicalCode]":
-    """Return the canonical code of every n-leaf shape once, sorted; builds no tree.
+def filled_codes(
+    n: int, names: "Sequence[str]", bound: int = DEFAULT_ENUM_BOUND, end: str = ""
+) -> "Iterator[str]":
+    """Every n-leaf canonical code once, in sorted order, filled with
+    ``names`` and followed by ``end``; builds no tree and never holds the
+    n-leaf level.
 
-    Each level is sorted before the next one reads it, so on equal halves
-    a <= b, which is ``decompose``'s tie order, and every joined string is
-    the shape's canonical code.  Checked as ``enumerate_shapes`` is.
+    ``("%s",) * n`` gives the bare codes.  The levels of 1..n-1 leaves are
+    built and each sorted before the next one reads it, so on equal halves
+    a <= b, ``decompose``'s tie order, and every joined string is a
+    canonical code.  Codes are prefix-free, so "(" + a + "," + b + ")"
+    sorts by a, then by b: one sorted pass over the first halves a of
+    ceil(n/2)..n-1 leaves, each paired with the sorted codes b of the other
+    n - k leaves (b >= a on equal halves), gives the n-leaf codes in order.
+    Each first half is filled once and each second half once per call, so
+    a line costs one concatenation.  The arguments are checked when called,
+    as ``enumerate_shapes``'s are.
     """
     check_leaf_count(n, bound)
+    names = tuple(names)
+    if n == 1:
+        return iter((names[0] + end,))
     codes: "list[list[CanonicalCode]]" = [[], [_LEAF_CODE]]
-    for m in range(2, n + 1):
+    for m in range(2, n):
         level = _level(m, codes, _join)
         level.sort()
         codes.append(level)
-    return codes[n]
+    # A second half of m leaves comes last, so it takes the last m names.
+    seconds = [[b % names[n - m:] + ")" + end for b in codes[m]] for m in range(n // 2 + 1)]
+
+    def blocks():
+        for a in sorted(chain.from_iterable(codes[(n + 1) // 2:])):
+            k = (len(a) + 3) // 5  # a k-leaf code has 5k - 3 characters
+            tails = seconds[n - k]
+            if 2 * k == n:
+                tails = tails[bisect_left(codes[k], a):]
+            yield map(("(" + a % names[:k] + ",").__add__, tails)
+
+    return chain.from_iterable(blocks())
 
 
 def count_shapes(n: int) -> int:

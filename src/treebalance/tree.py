@@ -16,7 +16,7 @@ codes on the nodes, across calls; ``height`` keeps one integer per
 distinct node for the length of the call.  Both index evaluations in
 ``stairs2`` use the same walk.  A canonical code is the shape's unlabeled
 Newick template: ``_LEAF_CODE`` per leaf, ``_join`` of the children's codes
-per internal node.  ``shapes.canonical_codes`` builds the codes of every
+per internal node.  ``shapes.filled_codes`` builds the codes of every
 shape of a leaf count from the same two, with no tree.
 """
 
@@ -37,7 +37,7 @@ class LimitError(ValueError):
 
     Only the enumeration bound can be set, through the ``bound`` arguments
     of :func:`~treebalance.shapes.enumerate_shapes`,
-    :func:`~treebalance.shapes.canonical_codes` and
+    :func:`~treebalance.shapes.filled_codes` and
     :func:`~treebalance.extremal.verify_extremal`, or the CLI's
     ``TREEBALANCE_MAX_ENUM`` environment variable.  Whatever that bound,
     ``verify_extremal`` refuses a ``max_n`` above 43

@@ -16,8 +16,8 @@ from treebalance.newick import (
     parse_newick,
     write_newick,
 )
-from treebalance.shapes import canonical_codes, enumerate_shapes
-from treebalance.tree import Tree, _postorder, canonical, is_isomorphic
+from treebalance.shapes import _level, enumerate_shapes, filled_codes
+from treebalance.tree import LimitError, Tree, _join, _postorder, canonical, is_isomorphic
 
 trees = st.recursive(st.builds(Tree), lambda sub: st.builds(Tree, sub, sub), max_leaves=24)
 # Mostly readable characters, so that many documents get past construction.
@@ -392,14 +392,45 @@ def swapped_copy(t, rng):
     return Tree(b, a) if rng.random() < 0.5 else Tree(a, b)
 
 
+def bare_codes(n):
+    """Every n-leaf canonical code, as ``filled_codes`` yields them unfilled."""
+    return list(filled_codes(n, ("%s",) * n))
+
+
+@pytest.fixture(scope="module")
+def sorted_levels():
+    """The sorted codes of 1..18 leaves, every level built whole and sorted."""
+    codes = [[], ["%s"]]
+    for m in range(2, 19):
+        codes.append(sorted(_level(m, codes, _join)))
+    return codes
+
+
 class TestWriteShapes:
     """Every shape of a leaf count written from its template, as
-    ``enumerate --emit-newick`` does: ``shapes.canonical_codes``."""
+    ``enumerate --emit-newick`` does: ``shapes.filled_codes``."""
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_codes_are_the_shapes_in_reference_order(self, n):
         by_reference = sorted(enumerate_shapes(n), key=reference_code)
-        assert canonical_codes(n) == [canonical(s) for s in by_reference]
+        assert bare_codes(n) == [canonical(s) for s in by_reference]
+
+    @pytest.mark.parametrize("n", range(15, 19))
+    def test_streamed_codes_are_the_sorted_level(self, sorted_levels, n):
+        # The top level is never built as a list; its lines must come out in
+        # the order of the whole level, sorted.
+        level = sorted_levels[n]
+        assert bare_codes(n) == level
+        names = tuple(f"t{i}" for i in range(1, n + 1))
+        assert list(filled_codes(n, names, end=";")) == [code % names + ";" for code in level]
+
+    @pytest.mark.parametrize(
+        "n,bound,error", [(19, 18, LimitError), (6, 5, LimitError), (0, 18, ValueError), (-3, 18, ValueError)]
+    )
+    def test_bounds_are_checked_when_called(self, n, bound, error):
+        # Raised by the call itself, before anything is drawn from it.
+        with pytest.raises(error):
+            filled_codes(n, (), bound)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_child_swapped_copies_in_shuffled_order(self, n):
@@ -409,19 +440,18 @@ class TestWriteShapes:
         copies = [swapped_copy(s, rng) for s in enumerate_shapes(n)]
         rng.shuffle(copies)
         names = tuple(f"t{i}" for i in range(1, n + 1))
-        lines = [code % names + ";" for code in canonical_codes(n)]
-        assert lines == written_in_code_order(copies)
+        assert list(filled_codes(n, names, end=";")) == written_in_code_order(copies)
 
     def test_codes_cached_on_subtrees_only(self, no_tree):
         # No tree, so no cached code either: the codes are joined as strings.
-        assert len(canonical_codes(12)) == 451
+        assert len(bare_codes(12)) == 451
 
     def test_mixed_leaf_counts_sort_as_their_codes(self):
         # Codes are prefix-free, so sorted together the levels keep the
         # reference order across leaf counts too.
         every_shape = [s for n in range(1, 8) for s in enumerate_shapes(n)]
         random.Random(0).shuffle(every_shape)
-        codes = sorted(code for n in range(1, 8) for code in canonical_codes(n))
+        codes = sorted(code for n in range(1, 8) for code in bare_codes(n))
         assert codes == [canonical(s) for s in sorted(every_shape, key=reference_code)]
 
     def test_canonical_sorts_as_the_reference_code(self):
