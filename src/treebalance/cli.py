@@ -7,11 +7,12 @@ and running out of memory.
 All output is deterministic for a given set of flags.
 
 A ``table`` row costs one peeling step of the recursive formula from an
-earlier row, the closed form's loop over the set bits of n, one gcd and
-one integer division for the decimal column.  The bulk outputs, ``table``
-and ``enumerate --emit-newick``, are written in blocks of about 16 KB, so
-an unbuffered stdout (``python -u``) does not make one system call per
-line; ``verify`` prints each leaf count's line as it is checked.
+earlier row, a share of the closed form's steps over a packed chunk of up
+to 1024 rows, one gcd and one integer division for the decimal column.
+The bulk outputs, ``table`` and ``enumerate --emit-newick``, are written
+in blocks of about 16 KB, so an unbuffered stdout (``python -u``) does not
+make one system call per line; ``verify`` prints each leaf count's line as
+it is checked.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .extremal import (
-    _closed_ratio,
+    _closed_ratios,
     _recursive_ratios,
     max_value_closed,
     max_value_even_recursion,
@@ -281,9 +282,10 @@ def cmd_table(args) -> int:
         nonlocal disagreement
         if args.format != "plain":
             yield sep.join(("n", "st2_max_exact", "st2_max_decimal"))
-        for n, pair in zip(range(lo, hi + 1), _recursive_ratios(lo, hi)):
+        sweeps = zip(range(lo, hi + 1), _recursive_ratios(lo, hi), _closed_ratios(lo, hi))
+        for n, pair, closed in sweeps:
             # Both pairs share the denominator (n - 1) << floor(log2 n).
-            if pair != _closed_ratio(n):
+            if pair != closed:
                 disagreement = n
                 return
             p, q = pair

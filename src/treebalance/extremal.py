@@ -17,10 +17,15 @@ unreduced integer pair (numerator, (n - 1) << top), top = floor(log2 n):
 both share that denominator, so ``table`` compares the two numerators and
 reduces once, and the public functions are ``Fraction`` of the pair.
 
-``table`` takes its recursive pairs from ``_recursive_ratios(lo, hi)``, a
-sweep that makes one peeling step per row from a row before it.  The sweep
-holds one array of earlier rows for the length of its call; the closed
-form stays a loop per n, so the cross-check stays independent, and the
+``table`` takes both columns from sweeps over its rows.
+``_recursive_ratios(lo, hi)`` makes one peeling step per row from a row
+before it, and holds one array of earlier rows for the length of its
+call.  ``_closed_ratios(lo, hi)`` evaluates the closed form for up to
+``_CHUNK_ROWS`` rows of one bit length at once, side by side in the
+64-bit fields of one integer ("SIMD within a register"): a step per bit
+position serves every row of the chunk.  ``_closed_ratio`` is its
+one-row case, so the closed form has one implementation.  Neither sweep
+reads the other's values, so the cross-check stays independent, and the
 public functions still keep nothing between calls.
 
 ``verify_extremal`` is the ground truth at small n: it scores every shape
@@ -38,6 +43,7 @@ trees, decoded from their index by ``_split_at``.
 """
 
 import math
+import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
@@ -52,6 +58,13 @@ from .tree import LimitError, Tree, canonical
 # The largest max_n whose scores fit a signed 64-bit array: none exceeds
 # lcm(1..max_n-1) * (max_n - 1), which passes 2**63 at max_n = 44.
 MAX_VERIFY_N = 43
+#: Most rows ``_closed_ratios`` packs into one integer: 8 KB of fields.
+#: From 512 rows up a chunk takes as long per row; over rows 1..200000 the
+#: sweep's traced peak is 79 KB at 1024 rows and 315 KB at 4096.
+_CHUNK_ROWS = 1024
+#: The largest top = floor(log2 n) that a 64-bit field holds: the closed
+#: numerator is below n << top < 2**(2 * top + 1).
+_PACKED_TOP = 31
 
 
 def _peel(scaled: int, rest: int, top: int) -> int:
@@ -111,22 +124,74 @@ def _recursive_ratios(lo: int, hi: int) -> "Iterator[tuple[int, int]]":
         yield pair
 
 
+def _closed_packed(packed: int, ones: int, top: int, bits: int) -> int:
+    """The closed-form numerators of rows packed side by side in one integer.
+
+    ``packed`` holds rows n of bit length top + 1 in equal fields, and
+    ``ones`` holds 1 in each field; ``bits`` has every bit that some row
+    has.  The numerator of :func:`max_value_closed` is (n - L) << top, L
+    the number of set bits of n, plus (n mod 2**e) << (top - e) for each
+    set bit e (0 at the lowest).  One step per bit position e makes that
+    term and counts the bit in every field at once, selecting by masks the
+    fields that have bit e.  A field ends below
+    n << top < 2**(2 * top + 1), and no step takes one below 0, so nothing
+    carries from field to field when the fields are that wide.
+    """
+    total = count = 0
+    digits = f"{bits:b}"
+    i = 0  # digit i is bit top - i; every row has the top bit
+    while i >= 0:
+        e = top - i
+        have = packed & ones << e  # 2**e in a field that has bit e
+        one = have >> e
+        count += one
+        total += (packed & have - one) << i
+        i = digits.find("1", i + 1)
+    return ((packed - count) << top) + total
+
+
+def _closed_ratios(lo: int, hi: int) -> "Iterator[tuple[int, int]]":
+    """Yield ``_closed_ratio(n)`` for n = lo..hi, a chunk of rows at a time.
+
+    Rows of one bit length go ``_CHUNK_ROWS`` at a time into the 64-bit
+    fields of one integer, through an ``array("Q")``, and
+    ``_closed_packed`` evaluates the chunk; the fields hold every row with
+    top <= ``_PACKED_TOP``.  A larger n is packed alone, as the integer
+    itself.  The steps go over the bits of the OR of the chunk's rows, so
+    a one-row chunk makes one step per set bit of n.  No recursive value
+    is read.  ValueError for lo < 0 comes when the first row is drawn.
+    """
+    if lo < 0:
+        raise ValueError("leaf count must be non-negative")
+    n = lo
+    while n <= hi:
+        if n <= 1:
+            yield 0, 1
+            n += 1
+            continue
+        top = n.bit_length() - 1
+        if top > _PACKED_TOP:
+            yield _closed_packed(n, 1, top, n), (n - 1) << top
+            n += 1
+            continue
+        end = min(hi, n + _CHUNK_ROWS - 1, (2 << top) - 1)
+        rows = array("Q", range(n, end + 1))
+        size = len(rows) * rows.itemsize
+        packed = int.from_bytes(rows, sys.byteorder)
+        ones = int.from_bytes(array("Q", [1]) * len(rows), sys.byteorder)
+        # [n, end] shares the bits above its highest differing bit d and
+        # holds every pattern below d: its OR is end | (2**d - 1).
+        bits = end | ((1 << (n ^ end).bit_length()) - 1) >> 1
+        totals, denominators = array("Q"), array("Q")
+        totals.frombytes(_closed_packed(packed, ones, top, bits).to_bytes(size, sys.byteorder))
+        denominators.frombytes(((packed - ones) << top).to_bytes(size, sys.byteorder))
+        yield from zip(totals, denominators)
+        n = end + 1
+
+
 def _closed_ratio(n: int) -> "tuple[int, int]":
     """The closed-form maximum for n as an unreduced (numerator, (n - 1) << top) pair."""
-    if n < 0:
-        raise ValueError("leaf count must be non-negative")
-    if n <= 1:
-        return 0, 1
-    top = n.bit_length() - 1
-    total = (n - n.bit_count()) << top
-    prefix = n & -n
-    rest = n ^ prefix
-    while rest:
-        bit = rest & -rest
-        total += prefix << (top + 1 - bit.bit_length())
-        prefix += bit
-        rest ^= bit
-    return total, (n - 1) << top
+    return next(_closed_ratios(n, n))
 
 
 def max_value_recursive(n: int) -> Fraction:
@@ -167,9 +232,11 @@ def max_value_closed(n: int) -> Fraction:
         (n - L) * 2**eL + sum_{i<L} (2**e1 + ... + 2**e_i) * 2**(eL - e_{i+1})
 
     which ``_closed_ratio`` returns over the denominator (n - 1) << eL;
-    the only reduction is the returned ``Fraction``.  Evaluated directly,
-    no recursion and no shared state, so it serves as an independent
-    check on :func:`max_value_recursive`.
+    the only reduction is the returned ``Fraction``.  It is the one-row
+    case of ``_closed_ratios``, which packs many n into one integer for
+    ``table``; for one n it makes one step per set bit.  Evaluated
+    directly, no recursion and no shared state, so it serves as an
+    independent check on :func:`max_value_recursive`.
     """
     return Fraction(*_closed_ratio(n))
 

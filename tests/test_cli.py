@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from treebalance import cli
+from treebalance import cli, extremal
 from treebalance.cli import decimal_string, main
 from treebalance.extremal import max_value_recursive
 from treebalance.families import caterpillar
@@ -507,13 +507,13 @@ class TestTable:
 
     def test_formula_disagreement_exits_one(self, capsys, monkeypatch):
         # table compares the unreduced closed-form pair with the recursive one.
-        closed = cli._closed_ratio
+        closed = cli._closed_ratios
 
-        def off_at_five(n):
-            p, q = closed(n)
-            return p + (n == 5), q
+        def off_at_five(lo, hi):
+            for n, (p, q) in zip(range(lo, hi + 1), closed(lo, hi)):
+                yield p + (n == 5), q
 
-        monkeypatch.setattr(cli, "_closed_ratio", off_at_five)
+        monkeypatch.setattr(cli, "_closed_ratios", off_at_five)
         rc, out, err = run(capsys, ["table", "--from", "2", "--to", "6"])
         assert rc == 1
         assert err == "error: recursive and closed formulas disagree at n=5\n"
@@ -523,6 +523,27 @@ class TestTable:
             "3,3/4,0.7500000000",
             "4,1,1.000000000",
         ]
+
+    def test_disagreement_on_the_first_row_of_a_chunk(self, capsys, monkeypatch):
+        # The rows from 8000 are evaluated in chunks 8000..8191, then
+        # _CHUNK_ROWS rows at a time from 8192; every row of the third
+        # chunk is off by one.
+        first = 8192 + extremal._CHUNK_ROWS
+        argv = ["table", "--from", "8000", "--to", str(first + 5), "--format", "plain"]
+        rc, whole, _ = run(capsys, argv)
+        assert rc == 0
+        packed = extremal._closed_packed
+        chunks = []
+
+        def off_in_the_third(packed_rows, ones, top, bits):
+            chunks.append(top)
+            return packed(packed_rows, ones, top, bits) + ones * (len(chunks) == 3)
+
+        monkeypatch.setattr(extremal, "_closed_packed", off_in_the_third)
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (1, f"error: recursive and closed formulas disagree at n={first}\n")
+        assert out.splitlines() == whole.splitlines()[: first - 8000]
+        assert len(chunks) == 3
 
     def test_rows_rendered_before_running_out_of_memory_are_written(self, capsys, monkeypatch):
         decimal = cli._decimal

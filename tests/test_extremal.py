@@ -10,6 +10,8 @@ import pytest
 from treebalance import extremal
 from treebalance.extremal import (
     ExtremalReport,
+    _closed_ratio,
+    _closed_ratios,
     _recursive_ratio,
     _recursive_ratios,
     _shape_at,
@@ -165,6 +167,57 @@ def test_table_sweep_rejects_negative_rows():
         next(_recursive_ratios(-1, 3))
 
 
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (1, 5000),
+        (0, 40),
+        (600, 1700),
+        (1024, 1024),
+        (30000, 140000),
+        (65000, 66100),
+        (999990, 1000000),
+        (0, 0),
+        (1, 1),
+        (777, 777),
+        (65535, 65535),
+        (3, 2),
+        # 4095, 4096 and 4097 rows into the 8192 rows of bit length 14: the
+        # last row ends, fills and follows a chunk
+        (8192, 8192 + 4094),
+        (8192, 8192 + 4095),
+        (8192, 8192 + 4096),
+        (8000, 8192 + 2 * 4096 + 5),
+        # the last packed bit lengths, and single rows past 2**32
+        (2**31 - 2100, 2**31 + 2100),
+        (2**32 - 2100, 2**32 + 2100),
+    ],
+)
+def test_closed_sweep_equals_the_per_n_pairs_and_the_definition(lo, hi):
+    pairs = list(_closed_ratios(lo, hi))
+    assert pairs == [_closed_ratio(n) for n in range(lo, hi + 1)]
+    # The definition, one Fraction per term, on every row of a short range
+    # and on every 97th row of a long one.
+    step = 1 if hi - lo < 20000 else 97
+    for n in range(lo, hi + 1, step):
+        p, q = pairs[n - lo]
+        assert q == (max(n, 2) - 1) << max(n.bit_length() - 1, 0)
+        assert Fraction(p, q) == _closed_reference(n)
+
+
+def test_closed_sweep_holds_one_chunk_at_a_time():
+    # A chunk is 1024 rows of 8 bytes, 8 KB per packed integer.  Packing
+    # all 68929 rows of bit length 18 at once takes 551 KB per integer.
+    tracemalloc.start()
+    try:
+        for _ in _closed_ratios(1, 200000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_even_recursion_matches_to_2048():
     for n in range(2, 2049, 2):
         assert max_value_even_recursion(n) == max_value_recursive(n)
@@ -269,7 +322,8 @@ class TestVerifyExtremal:
             raise AssertionError("verify_extremal evaluated a maximum-value formula")
 
         for name in ("max_value_recursive", "max_value_closed", "max_value_even_recursion",
-                     "_recursive_ratio", "_recursive_ratios", "_closed_ratio"):
+                     "_recursive_ratio", "_recursive_ratios", "_closed_ratio", "_closed_ratios",
+                     "_closed_packed"):
             monkeypatch.setattr(extremal, name, fail)
         for n, value in expected.items():
             *_, report = verify_extremal(n)
