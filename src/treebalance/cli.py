@@ -6,9 +6,12 @@ verification or internal consistency failure, 2 usage or parse errors
 and running out of memory.
 All output is deterministic for a given set of flags.
 
-A ``table`` row costs one peeling step of the recursive formula from an
-earlier row, a share of the closed form's steps over a packed chunk of up
-to 1024 rows, one gcd and one integer division for the decimal column.
+A ``table`` row costs a share of two sweeps over chunks of up to 1024
+rows, one per formula, each a few C-level steps per chunk: the recursive
+one maps one peeling step over the earlier rows a run reads, the closed
+one works on the rows packed into one integer.  Then one gcd, and one
+integer division and a string slice for the decimal column, which is laid
+out directly, with no ``Decimal``.
 The bulk outputs, ``table`` and ``enumerate --emit-newick``, are written
 in blocks of about 16 KB, so an unbuffered stdout (``python -u``) does not
 make one system call per line; ``verify`` prints each leaf count's line as
@@ -19,7 +22,6 @@ import argparse
 import io
 import os
 import sys
-from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -51,35 +53,62 @@ COUNT_LEAF_CAP = 2048
 _BLOCK_CHARS = 1 << 14
 
 
-#: ``scaleb`` in this context only moves the exponent: it never rounds.
-_EXACT = Context(prec=MAX_PREC)
+#: 10**i for the exponents a row at the default precision needs, and more:
+#: a larger power is computed when it is needed.
+_TENS = [10**i for i in range(64)]
 #: log10(2) * 10**30, rounded down: close enough that ``_decimal``'s estimate
 #: is off by at most the one step it corrects, at any bit length in memory.
 _LOG10_2 = 301029995663981195213738894724
+#: At most this many digits convert to ``str`` under any int-to-str limit
+#: (the smallest limit the interpreter accepts).
+_STR_SAFE_DIGITS = 640
+
+
+def _ten(e: int) -> int:
+    return _TENS[e] if e < 64 else 10**e
 
 
 def _decimal(p: int, q: int, digits: int) -> str:
-    """p/q (q > 0, p != 0) to ``digits`` significant digits, half-even."""
+    """p/q (q > 0, p != 0) to ``digits`` significant digits, half-even.
+
+    The rounded digits are laid out as ``str(Decimal)`` lays them out:
+    plain when the last digit falls at the units place or after it and the
+    rounded value is at least 1E-6, scientific otherwise.  Powers of ten up
+    to 10**63 come from ``_TENS``.
+    """
     c = abs(p)
     # With e the difference of the bit lengths, 2**(e - 1) < c/q < 2**(e + 1),
     # so a = floor(log10(c/q)) is the estimate from the lower bound or one
-    # more; one comparison decides.
+    # more.  The quotient taken with the estimate has ``digits`` digits, or
+    # one more, which is cut off into the remainder.
     a = (c.bit_length() - q.bit_length() - 1) * _LOG10_2 // 10**30
-    if (c * 10 ** -(a + 1) >= q) if a < -1 else (c >= q * 10 ** (a + 1)):
-        a += 1
     k = digits - 1 - a
     if k >= 0:
-        c, r = divmod(c * 10**k, q)
+        c, r = divmod(c * _ten(k), q)
     else:
-        q *= 10**-k
+        q *= _ten(-k)
         c, r = divmod(c, q)
+    top = _ten(digits)
+    if c >= top:
+        c, last = divmod(c, 10)
+        r += last * q
+        q *= 10
+        k -= 1
     # 10**(digits - 1) <= c < 10**digits; round on the exact remainder.
     if 2 * r > q or (2 * r == q and c & 1):
         c += 1
-        if c == 10**digits:
+        if c == top:
             c //= 10
             k -= 1
-    return str(Decimal(-c if p < 0 else c).scaleb(-k, _EXACT))
+    text = str(c) if digits <= _STR_SAFE_DIGITS else _exact_str(c)
+    point = digits - k  # the digits before the decimal point
+    if k < 0 or point < -5:
+        text = f"{text[0]}.{text[1:]}E{point - 1:+d}" if digits > 1 else f"{text}E{point - 1:+d}"
+    elif point <= 0:
+        text = f"0.{'0' * -point}{text}"
+    elif k:
+        text = f"{text[:point]}.{text[point:]}"
+    return "-" + text if p < 0 else text
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:
@@ -87,11 +116,14 @@ def decimal_string(value: Fraction, digits: int = 10) -> str:
 
     Rounding is half-even; trailing zeros are kept so the width is stable
     (1 renders as "1.000000000" at the default ten digits).  Zero renders
-    as plain "0".  The work is in integers: the decimal exponent comes from
-    the two bit lengths and one comparison, then one ``divmod`` gives a
-    quotient of exactly ``digits`` digits, rounded on its remainder.  A
-    huge value costs one division, not a conversion of both sides to
-    ``Decimal``, which only lays the digits out, as its ``str`` would.
+    as plain "0".  The work is in integers: the decimal exponent is
+    estimated from the two bit lengths, one ``divmod`` gives a quotient of
+    ``digits`` digits or one more, which is cut off when the estimate was
+    one low, and the quotient is rounded on its remainder.  Those
+    digits are laid out as ``str(Decimal)`` lays them out, plain from 1E-6
+    up to the last digit before the point, scientific otherwise, with no
+    ``Decimal`` built.  A huge value costs one division and one int-to-str
+    conversion, for which the interpreter's digit limit is lifted.
     """
     if digits < 1:
         raise ValueError("need at least one significant digit")
@@ -242,7 +274,11 @@ def cmd_verify(args) -> int:
     if args.max_n < 2 or args.max_n > bound:
         raise ValueError(f"--max-n must be between 2 and {bound}")
     all_ok = True
+    # H(n - 1) = harmonic / scale, in integers: the caterpillar's index
+    # times n - 1, the sum of 1/k over its internal nodes' splits (k, 1).
+    harmonic, scale = 0, 1
     for r in verify_extremal(args.max_n, bound=bound):
+        harmonic, scale = harmonic * (r.n - 1) + scale, scale * (r.n - 1)
         print(
             f"n={r.n} shapes={r.shape_count} max={_fmt(r.max_value)} "
             f"echelon_max={_flag(r.max_unique_and_is_echelon)} "
@@ -262,6 +298,14 @@ def cmd_verify(args) -> int:
                     file=sys.stderr,
                 )
                 all_ok = False
+        least = Fraction(harmonic, scale * (r.n - 1))
+        if least != r.min_value:
+            print(
+                f"error: n={r.n}: the caterpillar gives {least}, "
+                f"enumeration gives {r.min_value} as the minimum",
+                file=sys.stderr,
+            )
+            all_ok = False
     if all_ok:
         print(f"verified: all checks passed for n=2..{args.max_n}")
         return 0
@@ -276,6 +320,7 @@ def cmd_table(args) -> int:
     if not 1 <= args.precision <= TABLE_PRECISION_CAP:  # before the header: stdout stays empty
         raise ValueError(f"need 1 to {TABLE_PRECISION_CAP} significant digits")
     sep = {"csv": ",", "tsv": "\t", "plain": " "}[args.format]
+    digits = args.precision
     disagreement = None
 
     def rows():
@@ -292,9 +337,8 @@ def cmd_table(args) -> int:
             g = gcd(p, q)
             p //= g
             q //= g
-            exact = f"{p}/{q}" if q != 1 else str(p)
-            shown = _decimal(p, q, args.precision) if p else "0"
-            yield f"{n}{sep}{exact}{sep}{shown}"
+            shown = _decimal(p, q, digits) if p else "0"
+            yield f"{n}{sep}{p}/{q}{sep}{shown}" if q != 1 else f"{n}{sep}{p}{sep}{shown}"
 
     _write_lines(rows())
     if disagreement is not None:

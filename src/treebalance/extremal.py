@@ -20,8 +20,11 @@ reduces once, and the public functions are ``Fraction`` of the pair.
 ``table`` takes both columns from sweeps over its rows.
 ``_recursive_ratios(lo, hi)`` makes one peeling step per row from a row
 before it, and holds one array of earlier rows for the length of its
-call.  ``_closed_ratios(lo, hi)`` evaluates the closed form for up to
-``_CHUNK_ROWS`` rows of one bit length at once, side by side in the
+call.  The rows of one top whose remainders n - 2**top have one bit
+length peel with the same shift, so a run of up to ``_CHUNK_ROWS`` of
+them is evaluated at once, by C-level ``map``s over the slice of earlier
+rows it reads.  ``_closed_ratios(lo, hi)`` evaluates the closed form for
+up to ``_CHUNK_ROWS`` rows of one bit length at once, side by side in the
 64-bit fields of one integer ("SIMD within a register"): a step per bit
 position serves every row of the chunk.  ``_closed_ratio`` is its
 one-row case, so the closed form has one implementation.  Neither sweep
@@ -49,7 +52,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
-from operator import add
+from operator import add, itemgetter
 
 from .families import caterpillar, echelon
 from .shapes import DEFAULT_ENUM_BOUND, check_leaf_count, root_splits, split_blocks
@@ -58,12 +61,13 @@ from .tree import LimitError, Tree, canonical
 # The largest max_n whose scores fit a signed 64-bit array: none exceeds
 # lcm(1..max_n-1) * (max_n - 1), which passes 2**63 at max_n = 44.
 MAX_VERIFY_N = 43
-#: Most rows ``_closed_ratios`` packs into one integer: 8 KB of fields.
-#: From 512 rows up a chunk takes as long per row; over rows 1..200000 the
-#: sweep's traced peak is 79 KB at 1024 rows and 315 KB at 4096.
+#: Most rows a sweep evaluates at once.  ``_closed_ratios`` packs them into
+#: one integer, 8 KB of fields: from 512 rows up a chunk takes as long per
+#: row, and over rows 1..200000 the sweep's traced peak is 79 KB at 1024
+#: rows and 315 KB at 4096.  ``_recursive_ratios`` maps over them.
 _CHUNK_ROWS = 1024
-#: The largest top = floor(log2 n) that a 64-bit field holds: the closed
-#: numerator is below n << top < 2**(2 * top + 1).
+#: The largest top = floor(log2 n) that a 64-bit field holds: both
+#: numerators are below n << top < 2**(2 * top + 1).
 _PACKED_TOP = 31
 
 
@@ -97,31 +101,53 @@ def _recursive_ratios(lo: int, hi: int) -> "Iterator[tuple[int, int]]":
     """Yield ``_recursive_ratio(n)`` for n = lo..hi, one peeling step per row.
 
     Row n peels down to r = n - 2**top, which an earlier row gave when
-    r >= lo and ``_recursive_ratio`` gives otherwise.  Only the rows that a
-    later row peels down to are kept: n is some row's r when n + 2**(bit
-    length of n) <= hi.  That sum grows with n, so these rows run from lo
-    to the largest such n, ``last``, whose bit length b is the largest
-    with 2**(b - 1) + 2**b <= hi: the bit length of hi // 3.  They go in
-    one signed 64-bit array, allocated once at its full size, which holds
-    N(n) < n**2 while n < 2**31.  ValueError for lo < 0 comes when the
-    first row is drawn.
+    r >= lo and ``_recursive_ratio`` gives otherwise.  Over a run of rows
+    with one top whose r have one bit length w, the peeling step is
+
+        N(n) = ((2**top - 1) << top) + r + (N(r) << (top + 1 - w)),
+
+    the same shift for every row, so a run of up to ``_CHUNK_ROWS`` rows
+    takes C-level ``map``s over the slice of earlier rows it peels down
+    to, into a signed 64-bit array while top <= ``_PACKED_TOP``.  Only the
+    rows that a later row peels down to are kept, written back a run at a
+    time by slice assignment: n is some row's r when
+    n + 2**(bit length of n) <= hi.  That sum grows with n, so these rows
+    run from lo to the largest such n, ``last``, whose bit length b is the
+    largest with 2**(b - 1) + 2**b <= hi: the bit length of hi // 3.  They
+    go in one signed 64-bit array, allocated once at its full size, which
+    holds N(n) < n**2 while n < 2**31.  ValueError for lo < 0 comes when
+    the first row is drawn.
     """
     if lo < 0:
         raise ValueError("leaf count must be non-negative")
     b = (hi // 3).bit_length()
     last = min((1 << b) - 1, hi - (1 << b))
     kept = array("q", [0]) * max(0, last - lo + 1)
-    for n in range(lo, hi + 1):
+    n = lo
+    while n <= hi:
         if n <= 1:
-            pair = 0, 1
-        else:
-            top = n.bit_length() - 1
-            rest = n - (1 << top)
-            below = kept[rest - lo] if rest >= lo else _recursive_ratio(rest)[0]
-            pair = _peel(below, rest, top), (n - 1) << top
+            yield 0, 1
+            n += 1
+            continue
+        top = n.bit_length() - 1
+        base = 1 << top
+        r = n - base
+        w = r.bit_length()
+        end = min(hi, n + _CHUNK_ROWS - 1, base + (1 << w) - 1)
+        stop = end - base + 1  # the run's remainders are range(r, stop)
+        split = min(max(r, lo), stop)  # and those from split on are in kept
+        below = chain(
+            map(itemgetter(0), map(_recursive_ratio, range(r, split))),
+            kept[split - lo:stop - lo],
+        )
+        start = (base - 1) << top
+        shifted = map((1 << top + 1 - w).__mul__, below)
+        sums = map(add, range(start + r, start + stop), shifted)
+        numerators = array("q", sums) if top <= _PACKED_TOP else list(sums)
         if n <= last:
-            kept[n - lo] = pair[0]
-        yield pair
+            kept[n - lo:min(end, last) - lo + 1] = array("q", numerators[:last - n + 1])
+        yield from zip(numerators, range((n - 1) << top, end << top, base))
+        n = end + 1
 
 
 def _closed_packed(packed: int, ones: int, top: int, bits: int) -> int:

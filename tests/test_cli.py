@@ -102,6 +102,12 @@ class TestDecimalString:
             (Fraction(96, 100), 1, "1"),
             (Fraction(-96, 100), 1, "-1"),
             (Fraction(996), 2, "1.0E+3"),
+            # Decimal's layout on either side of the next powers of ten:
+            # plain down to 1E-6, scientific below it and past the digits.
+            (Fraction(1, 10**6), 10, "0.000001000000000"),
+            (Fraction(1, 10**7), 10, "1.000000000E-7"),
+            (Fraction(-123456, 10**12), 10, "-1.234560000E-7"),
+            (Fraction(12345), 3, "1.23E+4"),
         ],
     )
     def test_rounding_up_to_the_next_power_of_ten(self, value, digits, expected):
@@ -411,6 +417,23 @@ class TestVerify:
         rc, out, err = run(capsys, ["verify", "--max-n", "6"])
         assert rc == 1
         assert "n=5" in err and "closed" in err
+        assert out.splitlines() == good.splitlines()[:-1]
+
+    def test_minimum_other_than_the_caterpillar_fails(self, capsys, monkeypatch):
+        _, good, _ = run(capsys, ["verify", "--max-n", "6"])
+        real = cli.verify_extremal
+
+        def off_at_five(max_n, bound):
+            for r in real(max_n, bound):
+                yield r._replace(min_value=r.min_value + 1) if r.n == 5 else r
+
+        monkeypatch.setattr(cli, "verify_extremal", off_at_five)
+        rc, out, err = run(capsys, ["verify", "--max-n", "6"])
+        assert rc == 1
+        # H(4)/4 = 25/48 is the caterpillar's index on five leaves.
+        assert err.splitlines()[0] == (
+            "error: n=5: the caterpillar gives 25/48, enumeration gives 73/48 as the minimum"
+        )
         assert out.splitlines() == good.splitlines()[:-1]
 
     def test_jobs_option_is_gone(self, capsys):

@@ -143,6 +143,12 @@ def test_formulas_equal_their_definitions_for_huge_n(n):
         (777, 777),
         (65535, 65535),
         (3, 2),
+        (1020, 1030),  # lo inside a run, then across 1024
+        (1023, 2049),  # every remainder bit length of top 10, lo = last
+        (65530, 65540),  # lo > last: no row is kept
+        (98299, 98309),  # the remainder's bit length goes from 15 to 16
+        (131071, 135000),  # across 2**17, and a run cut at _CHUNK_ROWS rows
+        (2**32 - 2100, 2**32 + 2100),  # past the rows a 64-bit field holds
     ],
 )
 def test_table_sweep_equals_the_per_n_loop(lo, hi):
