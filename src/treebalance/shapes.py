@@ -24,9 +24,9 @@ two build no tree per shape.
 Each call builds its levels afresh, bottom-up, in a list of its own: the
 shapes of each leaf count pair up those of smaller counts, so the shapes
 of one call share subtree objects.  Nothing is kept between calls.
-``filled_codes`` builds only the levels below n: it yields the n-leaf
-codes in sorted order as it pairs them, so the largest level is never
-held.
+From n = 5 leaves on, ``filled_codes`` builds only the levels of up to
+n - 3 leaves: it yields the n-leaf codes in sorted order as it pairs them,
+so neither the largest level nor the two below it is ever built.
 """
 
 from bisect import bisect_left
@@ -90,43 +90,86 @@ def enumerate_shapes(n: int, bound: int = DEFAULT_ENUM_BOUND) -> "tuple[Tree, ..
     return shapes[n]
 
 
+def _size(code: CanonicalCode) -> int:
+    """The leaf count of a canonical code: k leaves take 5k - 3 characters."""
+    return (len(code) + 3) // 5
+
+
 def filled_codes(
     n: int, names: "Sequence[str]", bound: int = DEFAULT_ENUM_BOUND, end: str = ""
 ) -> "Iterator[str]":
     """Every n-leaf canonical code once, in sorted order, filled with
-    ``names`` and followed by ``end``; builds no tree and never holds the
-    n-leaf level.
+    ``names`` and followed by ``end``; builds no tree and, from n = 5 on,
+    no level above n - 3 leaves.
 
-    ``("%s",) * n`` gives the bare codes.  The levels of 1..n-1 leaves are
+    ``("%s",) * n`` gives the bare codes.  The levels of 1..n-3 leaves are
     built and each sorted before the next one reads it, so on equal halves
     a <= b, ``decompose``'s tie order, and every joined string is a
-    canonical code.  Codes are prefix-free, so "(" + a + "," + b + ")"
-    sorts by a, then by b: one sorted pass over the first halves a of
-    ceil(n/2)..n-1 leaves, each paired with the sorted codes b of the other
-    n - k leaves (b >= a on equal halves), gives the n-leaf codes in order.
-    Each first half is filled once and each second half once per call, so
-    a line costs one concatenation.  The arguments are checked when called,
-    as ``enumerate_shapes``'s are.
+    canonical code.  An n-leaf code is "(((" + c + "," + d + ")," + b +
+    ")," + s + ")": its first half is f = (a, b), and f's first half is
+    a = (c, d).  Codes are prefix-free, so the codes sort by c, then d, b
+    and s: one sorted pass over the held codes c, each followed by the
+    sorted codes d, b and s of the sizes that complete it, gives the n-leaf
+    codes in order without building the levels of f or a.  On equal halves
+    the later one is taken no smaller: d >= c, b >= a, s >= f.  Each c is
+    filled with its names once, and what follows an a of at least n / 2
+    leaves, which ties with neither its b nor its f, once per call, so most
+    lines cost one concatenation.  The arguments are checked when called,
+    as ``enumerate_shapes``'s are, and ``names`` must hold exactly n names
+    (ValueError).
     """
     check_leaf_count(n, bound)
     names = tuple(names)
-    if n == 1:
-        return iter((names[0] + end,))
+    if len(names) != n:
+        raise ValueError(f"{n} leaves need {n} names, not {len(names)}")
     codes: "list[list[CanonicalCode]]" = [[], [_LEAF_CODE]]
-    for m in range(2, n):
+    for m in range(2, n - 2 if n > 4 else n + 1):
         level = _level(m, codes, _join)
         level.sort()
         codes.append(level)
+    if n < 5:  # a has too few leaves to be taken apart: all levels are tiny
+        return iter([code % names + end for code in codes[n]])
+    least_f = (n + 1) // 2  # the fewest leaves of f, a and c
+    least_a = (least_f + 1) // 2
+    least_c = (least_a + 1) // 2
     # A second half of m leaves comes last, so it takes the last m names.
-    seconds = [[b % names[n - m:] + ")" + end for b in codes[m]] for m in range(n // 2 + 1)]
+    seconds = [[s % names[n - m :] + ")" + end for s in codes[m]] for m in range(n // 2 + 1)]
 
-    def blocks():
-        for a in sorted(chain.from_iterable(codes[(n + 1) // 2:])):
-            k = (len(a) + 3) // 5  # a k-leaf code has 5k - 3 characters
-            tails = seconds[n - k]
-            if 2 * k == n:
-                tails = tails[bisect_left(codes[k], a):]
-            yield map(("(" + a % names[:k] + ",").__add__, tails)
+    def window(k: int, lo: int, hi: int) -> "list[tuple[CanonicalCode, int, str]]":
+        # The sorted codes of lo..hi leaves that follow a half of k leaves,
+        # each with its leaf count and its text from name k on, then "),".
+        entries = []
+        for x in sorted(chain.from_iterable(codes[lo : hi + 1])):
+            m = _size(x)
+            entries.append((x, m, x % names[k : k + m] + "),"))
+        return entries
+
+    bs = {j: window(j, max(1, least_f - j), min(j, n - 1 - j)) for j in range(least_a, n - 1)}
+    ds = {i: window(i, max(1, least_a - i), min(i, n - 2 - i)) for i in range(least_c, n - 2)}
+    # What follows an a of j >= n / 2 leaves: no b or s can tie there.
+    after = {j: [b + s for _, m, b in bs[j] for s in seconds[n - j - m]] for j in range(least_f, n - 1)}
+
+    def tied(a: CanonicalCode, j: int, head: str) -> Iterator:
+        # The lines of an a of j < n / 2 leaves; head is "((", a filled, ",".
+        for b, m, filled in bs[j]:
+            if m == j and b < a:
+                continue
+            tails = seconds[n - j - m]
+            if 2 * (j + m) == n:
+                tails = tails[bisect_left(codes[j + m], "(" + a + "," + b + ")") :]
+            yield map((head + filled).__add__, tails)
+
+    def blocks() -> Iterator:
+        for c in sorted(chain.from_iterable(codes[least_c : n - 2])):
+            i = _size(c)
+            head = "(((" + c % names[:i] + ","
+            for d, m, filled in ds[i]:
+                if m == i and d < c:
+                    continue
+                if i + m in after:
+                    yield map((head + filled).__add__, after[i + m])
+                else:
+                    yield from tied("(" + c + "," + d + ")", i + m, head + filled)
 
     return chain.from_iterable(blocks())
 

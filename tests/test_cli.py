@@ -620,6 +620,21 @@ class _LineCounter:
         return len(text)
 
 
+def _emit_peak(monkeypatch, n, lines):
+    """The traced peak of ``enumerate --n n --emit-newick``, its lines counted."""
+    sink = _LineCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        rc = main(["enumerate", "--n", str(n), "--emit-newick"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sink.lines == lines
+    return peak
+
+
 @pytest.mark.parametrize(
     "argv", [["table", "--from", "1", "--to", "20000"], ["enumerate", "--n", "14", "--emit-newick"]]
 )
@@ -710,19 +725,16 @@ class TestEnumerate:
         assert err == "error: n=19 exceeds the enumeration bound 18\n"
 
     def test_emit_never_holds_the_top_level(self, monkeypatch):
-        # At n = 16 the lines are streamed at a traced peak of about 1.4 MB;
-        # building and sorting the 10905 top-level codes first took 2.7 MB.
-        sink = _LineCounter()
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            rc = main(["enumerate", "--n", "16", "--emit-newick"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 0
-        assert sink.lines == 10905
-        assert peak < 2 * 2**20
+        # At n = 16 the lines are streamed at a traced peak of about 0.52 MiB;
+        # with the levels of 1..15 leaves held it was 1.4 MiB, and building
+        # and sorting the 10905 top-level codes as well took 2.7 MiB.
+        assert _emit_peak(monkeypatch, 16, 10905) < 2**20
+
+    def test_emit_never_builds_the_two_levels_below_the_top(self, monkeypatch):
+        # At n = 17 only the codes of 1..14 leaves are held: a traced peak of
+        # about 0.62 MiB.  Holding those of 15 leaves as well takes about
+        # 1.2 MiB, and those of 1..16 leaves 2.7 MiB.
+        assert _emit_peak(monkeypatch, 17, 24631) < 2**20
 
     def test_zero_rejected(self, capsys):
         rc, _, _ = run(capsys, ["enumerate", "--n", "0"])

@@ -415,10 +415,12 @@ class TestWriteShapes:
         by_reference = sorted(enumerate_shapes(n), key=reference_code)
         assert bare_codes(n) == [canonical(s) for s in by_reference]
 
-    @pytest.mark.parametrize("n", range(15, 19))
+    @pytest.mark.parametrize("n", range(2, 19))
     def test_streamed_codes_are_the_sorted_level(self, sorted_levels, n):
-        # The top level is never built as a list; its lines must come out in
-        # the order of the whole level, sorted.
+        # Neither the top level nor the two below it are built as lists; the
+        # lines must come out in the order of the whole level, sorted.  Even
+        # n puts equal halves at the top, and small n first halves whose own
+        # halves have one size.
         level = sorted_levels[n]
         assert bare_codes(n) == level
         names = tuple(f"t{i}" for i in range(1, n + 1))
@@ -431,6 +433,14 @@ class TestWriteShapes:
         # Raised by the call itself, before anything is drawn from it.
         with pytest.raises(error):
             filled_codes(n, (), bound)
+
+    @pytest.mark.parametrize("n,count", [(1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (4, 5), (17, 16), (18, 19)])
+    def test_names_are_checked_when_called(self, n, count):
+        # Exactly n names, else ValueError from the call itself, not a
+        # formatting error halfway through the lines or extra names ignored.
+        with pytest.raises(ValueError, match="names") as raised:
+            filled_codes(n, tuple(f"t{i}" for i in range(count)))
+        assert type(raised.value) is ValueError
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_child_swapped_copies_in_shuffled_order(self, n):
