@@ -355,20 +355,20 @@ def verify_extremal(max_n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[Ext
     ``MAX_VERIFY_N`` keeps below 2**63.  Only the argmax and argmin entries
     are decoded into trees, for their canonical codes; a maximizer's root
     subtree attains its own maximum when its score is the largest of its
-    size.  Lazily, as the reports are drawn: ValueError for max_n < 2 and
-    LimitError for max_n > ``MAX_VERIFY_N`` before the first, and
-    LimitError after the last report for a size within ``bound``.
+    size.  The arguments are checked when the first report is drawn,
+    before any shape is scored: ValueError for max_n < 2, then LimitError
+    for max_n > ``MAX_VERIFY_N``, then LimitError for max_n > ``bound``.
     """
     if max_n < 2:
         raise ValueError("extremal verification needs at least two leaves")
     if max_n > MAX_VERIFY_N:
         raise LimitError(f"max_n={max_n} exceeds the scoring bound {MAX_VERIFY_N}")
+    check_leaf_count(max_n, bound)
     scale = math.lcm(*range(1, max_n))
     # scores[m]: every m-leaf shape's score, in enumeration order.
     scores: "list[Sequence[int]]" = [(), (0,)]
     largest = [0, 0]
     for n in range(2, max_n + 1):
-        check_leaf_count(n, bound)
         blocks = (map((scale * m2 // m1).__add__, block)
                   for m1, m2, block in split_blocks(n, scores, add))
         row = array("q", chain.from_iterable(blocks))

@@ -15,26 +15,27 @@ family generators share equal subtrees, is summed once.  It adds one
 integer numerator per denominator, each partial sum kept over the least
 common denominator of its terms.
 ``stairs2_recursive`` instead applies the equivalent root-decomposition
-rule, with T = (T1, T2), n1 >= n2:
+rule, with T = (T1, T2), n1 >= n2, to the node sum S(T) = (n - 1) st(T):
 
-    st(T) = ((n1 - 1) st(T1) + (n2 - 1) st(T2) + n2/n1) / (n1 + n2 - 1)
+    S(T) = S(T1) + S(T2) + n2/n1
 
-Given st(T2), the rule is an affine map of st(T1), so it composes the
-maps along each heavy path (the chain of heavier children from a head)
-and applies the result once at the path's head.  Every internal node is
-a head except one with a single parent whose heavier child it is; the
-function stores one value per head and keeps them until it returns.
+Unrolled along a heavy path (the chain of heavier children from a head),
+a head's S is the sum of S(T2) + n2/n1 over the path's nodes plus S at
+the path's end.  Every internal node is a head except one with a single
+parent whose heavier child it is; the function stores one sum per head
+and keeps them until it returns.
 
-Both folds, of the sum's terms and of a path's maps, go through one
-balanced product tree (binary splitting), ``_balanced_fold``, so both make
-a near-linear number of big-integer steps in the distinct nodes.  The
-time is not near-linear: a caterpillar's values grow by 1.4 bits a leaf,
-CPython's products and gcds on them are superlinear, and each doubling
-of the leaves roughly triples the time.  The two functions agree
-exactly on every input; keeping both gives the test suite an internal
-cross-check, so they share only that fold, which knows neither rule,
-and ``tree._postorder``, which lists each distinct node once, children
-first.  All arithmetic is exact, in
+Both evaluators add their terms as (denominator, numerator) pairs through
+one balanced product tree (binary splitting), ``_balanced_fold``, each
+sum put over the least common multiple of its two denominators by
+``_add_over_lcm``, so both make a near-linear number of big-integer steps
+in the distinct nodes.  The time is not near-linear: a caterpillar's
+values grow by 1.4 bits a leaf, CPython's products and gcds on them are
+superlinear, and each doubling of the leaves roughly triples the time.
+The two functions agree exactly on every input; keeping both gives the
+test suite an internal cross-check, so they share only that addition,
+which knows neither rule, and ``tree._postorder``, which lists each
+distinct node once, children first.  All arithmetic is exact, in
 integers and rationals, never float.
 """
 
@@ -110,23 +111,12 @@ def stairs2_direct(t: Tree) -> Fraction:
     size of the reduced result, not of the product of all denominators.
     Time and memory follow the distinct nodes, not the unfolded tree: a
     fully balanced tree of height h has h terms, a caterpillar of n leaves
-    n - 1.  On a parsed 100k-leaf caterpillar it takes 0.5 to 0.7 s
-    in-process (2-vCPU VM, Python 3.11).
+    n - 1.
     """
     if t.is_leaf:
         return _ZERO
     q, p = _balanced_fold(_numerators(t).items(), _add_over_lcm)
     return Fraction(p, q * (t.leaf_count - 1))
-
-
-def _compose(outer: "tuple[int, int, int]", inner: "tuple[int, int, int]") -> "tuple[int, int, int]":
-    """The map x -> outer(inner(x)), each map (A, B, D) being x -> (A x + B) / D,
-    divided through by the gcd of its three integers."""
-    a1, b1, d1 = outer
-    a2, b2, d2 = inner
-    a, b, d = a1 * a2, a1 * b2 + b1 * d2, d1 * d2
-    g = gcd(a, b, d)
-    return a // g, b // g, d // g
 
 
 def _split(node: Tree) -> "tuple[Tree, Tree]":
@@ -141,10 +131,9 @@ def stairs2_recursive(t: Tree) -> Fraction:
     """Index of ``t`` by the root-decomposition recurrence.
 
     Returns the same exact value as :func:`stairs2_direct` on every tree.
-    At a node with heavier child T1 (n1 >= n2 leaves) and lighter child T2
-    of index p/q, the rule is the affine map of x = st(T1)
-
-        x -> ((n1 - 1) q n1 x + (n2 - 1) p n1 + n2 q) / (q n1 (n - 1)).
+    At a node with heavier child T1 (n1 >= n2 leaves) and lighter child
+    T2, the node sum S = (n - 1) st of the node is S(T1) + S(T2) + n2/n1,
+    where a leaf's S is 0.
 
     Following heavier children from a head gives a heavy path.  A node is
     on its parent's path when it has one parent and is that parent's
@@ -153,14 +142,12 @@ def stairs2_recursive(t: Tree) -> Fraction:
     distinct node lies on one path.  A lighter child has at most half its
     parent's leaves, so heads nest at most log2(n) deep.  One pass over
     ``_postorder``'s list counts each node's parents; a second takes the
-    heads in the same order, children first.  The maps of one path are folded by
-    :func:`_balanced_fold`, head side first, each product divided by the
-    gcd of its three integers, and applied once to the value at the path's
-    end: a leaf, or a head below.  A path of k nodes holds a list of its
-    nodes and about log2(k) maps at once; the heads' values are kept until
-    the call returns.  On a
-    parsed 100k-leaf caterpillar it takes 1.2 to 1.5 s in-process (2-vCPU
-    VM, Python 3.11).
+    heads in the same order, children first.  A head's S adds, through
+    :func:`_balanced_fold` and :func:`_add_over_lcm`, each path node's
+    n2/n1 and S(T2) and then S at the path's end, a leaf or a head below,
+    as (denominator, numerator) pairs.  A path of k nodes holds about
+    log2(k) partial sums at once; the heads' sums are kept until the call
+    returns, and the last, the root's, is divided by n - 1.
     """
     if t.left is None:
         return _ZERO
@@ -172,26 +159,22 @@ def stairs2_recursive(t: Tree) -> Fraction:
         for child, weight in zip(_split(node), (1, 2)):
             if child.left is not None:
                 count[id(child)] = count.get(id(child), 0) + weight
-    values: dict[int, Fraction] = {}
+    sums: dict[int, "tuple[int, int]"] = {}
 
-    def value(v: Tree) -> Fraction:
-        return _ZERO if v.left is None else values[id(v)]
-
-    def root_rule(node: Tree) -> "tuple[int, int, int]":
-        heavy, light = _split(node)
-        n1, n2 = heavy.leaf_count, light.leaf_count
-        x = value(light)
-        p, q = x.numerator, x.denominator
-        return (n1 - 1) * q * n1, (n2 - 1) * p * n1 + n2 * q, q * n1 * (n1 + n2 - 1)
+    def path_terms(node: Tree):
+        while True:
+            heavy, light = _split(node)
+            yield heavy.leaf_count, light.leaf_count
+            if light.left is not None:
+                yield sums[id(light)]
+            if count.get(id(heavy)) != 1:  # a leaf has no count
+                if heavy.left is not None:
+                    yield sums[id(heavy)]
+                return
+            node = heavy
 
     for head in order:
-        if count.get(id(head)) == 1:  # the root has no count
-            continue
-        path, end = [head], _split(head)[0]
-        while count.get(id(end)) == 1:  # nor has a leaf
-            path.append(end)
-            end = _split(end)[0]
-        a, b, d = _balanced_fold(map(root_rule, path), _compose)
-        x = value(end)
-        values[id(head)] = Fraction(a * x.numerator + b * x.denominator, d * x.denominator)
-    return values[id(t)]
+        if count.get(id(head)) != 1:  # nor has the root
+            sums[id(head)] = _balanced_fold(path_terms(head), _add_over_lcm)
+    q, p = sums[id(t)]
+    return Fraction(p, q * (t.leaf_count - 1))

@@ -3,7 +3,6 @@ import random
 import tracemalloc
 from array import array
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -289,12 +288,12 @@ class TestVerifyExtremal:
             next(verify_extremal(1))
 
     def test_enumeration_bound(self):
-        with pytest.raises(LimitError):
-            list(verify_extremal(19))
-        reports = verify_extremal(5, bound=4)
-        assert [r.n for r in islice(reports, 3)] == [2, 3, 4]
-        with pytest.raises(LimitError):
-            next(reports)
+        # max_n is checked against the bound once, before the first report.
+        with pytest.raises(LimitError, match="n=19 exceeds the enumeration bound 18"):
+            next(verify_extremal(19))
+        with pytest.raises(LimitError, match="n=5 exceeds the enumeration bound 4"):
+            next(verify_extremal(5, bound=4))
+        assert [r.n for r in verify_extremal(4, bound=4)] == [2, 3, 4]
 
     def test_scoring_bound(self):
         # Past it the largest score, lcm(1..max_n-1) * (max_n - 1), passes 2**63.

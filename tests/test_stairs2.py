@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from treebalance import stairs2
 from treebalance.families import caterpillar, echelon, fully_balanced
 from treebalance.newick import NewickDocument, parse_newick, write_newick
 from treebalance.shapes import enumerate_shapes
@@ -159,10 +160,10 @@ def random_split_tree(n, seed):
     ],
 )
 def test_memory_follows_the_frontier_not_the_tree(fn, shape):
-    # A caterpillar is one heavy path, and its exact partial sums and
-    # composed maps reach O(n) bits, so a fold that held one per node would
-    # take O(n**2) bits here; the balanced fold holds about log2(n) at once.
-    # The random split tree has about 5000 heads, whose values the
+    # A caterpillar is one heavy path, and its exact partial sums reach
+    # O(n) bits, so a fold that held one per node would take O(n**2) bits
+    # here; the balanced fold holds about log2(n) at once.
+    # The random split tree has about 5000 heads, whose sums the
     # recursive evaluation keeps until it returns: each is a lighter child
     # with at most half its parent's leaves, so together they stay small.
     t = caterpillar(15000) if shape == "caterpillar" else random_split_tree(15000, seed=1)
@@ -285,6 +286,25 @@ def test_direct_equals_term_by_term_on_seeded_dags():
     assert parities == {0, 1}
 
 
+@pytest.mark.parametrize("evaluator, helper", [
+    (stairs2_recursive, "_numerators"),
+    (stairs2_direct, "_split"),
+])
+def test_each_evaluator_runs_without_the_others_rule(monkeypatch, evaluator, helper):
+    # The cross-check means something only while neither evaluator reads the
+    # other's rule: recursive never groups terms by denominator, and direct
+    # never splits a node into its heavier and lighter child.
+    def refuse(*args):
+        raise AssertionError(f"{evaluator.__name__} called {helper}")
+
+    monkeypatch.setattr(stairs2, helper, refuse)
+    for seed in range(0, 60, 7):
+        t = seeded_dag(seed)
+        assert evaluator(t) == term_by_term(t)
+    t = fibonacci_dag(12)
+    assert evaluator(t) == term_by_term(t)
+
+
 def assert_all_agree(t):
     value = term_by_term(t)
     assert stairs2_direct(t) == stairs2_recursive(t) == value
@@ -320,7 +340,7 @@ def test_equal_leaf_counts_on_both_sides():
 
 def test_heavy_paths_of_odd_and_even_length():
     # A caterpillar of n leaves is one heavy path of n - 1 nodes; hanging a
-    # shared cherry off every node makes each map depend on a stored value.
+    # shared cherry off every node makes each path node read a stored sum.
     for n in range(2, 18):
         assert_all_agree(caterpillar(n))
         t = cherry = fully_balanced(1)
