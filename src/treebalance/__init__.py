@@ -17,7 +17,7 @@ from .extremal import (
     max_value_recursive,
     verify_extremal,
 )
-from .families import DEFAULT_HEIGHT_BOUND, caterpillar, echelon, fully_balanced
+from .families import caterpillar, echelon, fully_balanced
 from .newick import NewickArityError, NewickDocument, NewickError, parse_newick, write_newick
 from .shapes import DEFAULT_ENUM_BOUND, count_shapes, enumerate_shapes
 from .stairs2 import stairs2_direct, stairs2_recursive
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalCode",
     "DEFAULT_ENUM_BOUND",
-    "DEFAULT_HEIGHT_BOUND",
     "ExtremalReport",
     "LimitError",
     "NewickArityError",

@@ -13,19 +13,17 @@ O(2**h), and an echelon tree at O(log n)).  Traversals elsewhere in the
 package are written for that.
 """
 
-from .tree import LimitError, Tree
-
-#: Cap on fully balanced tree height; guards against runaway sizes in
-#: downstream operations that scale with the unfolded tree.
-DEFAULT_HEIGHT_BOUND = 30
+from .tree import Tree
 
 
 def fully_balanced(h: int) -> Tree:
-    """Tree on 2**h leaves with every leaf at depth exactly h."""
+    """Tree on 2**h leaves with every leaf at depth exactly h.
+
+    It holds h + 1 distinct nodes, one per level, so any height is cheap to
+    build; the CLI's ``generate``, which writes every leaf, caps h itself.
+    """
     if h < 0:
         raise ValueError("height must be non-negative")
-    if h > DEFAULT_HEIGHT_BOUND:
-        raise LimitError(f"height {h} exceeds the bound {DEFAULT_HEIGHT_BOUND}")
     t = Tree()
     for _ in range(h):
         t = Tree(t, t)

@@ -32,14 +32,17 @@ unchanged.  The writer emits only what the parser reads back:
 ``NewickDocument`` rejects any label that is not an unquoted name.
 
 Parsing takes one of two paths, chosen by the input alone.  A valid
-statement is read from its skeleton: a few regex passes delete the
-whitespace the grammar allows and the well-formed branch lengths, one
-search rejects whatever else no valid statement holds, and the labels are
-dropped, so that one Python loop runs over the delimiters ``(),`` only,
-taking the text a block at a time; the leaf labels, when wanted, come
-from one ``findall``.  Any text that path rejects goes to a loop with
-one regex match per token, which finds the first error and its offset.
-Every pass is linear in the text.
+statement is read from its skeleton: whitespace at its ends is stripped,
+and whitespace inside, only if ``split`` finds any, goes by one regex
+pass where the grammar allows it; one search rejects any ``:`` that does
+not start a well-formed branch length, another a label before ``(``, and
+the labels and lengths are dropped, so that one Python loop runs over the
+delimiters ``(),`` only, taking the text a block at a time, with
+``(,)``, ``(,`` and ``,)`` each folded into one symbol first; the leaf
+labels, when wanted, come from one ``findall``.
+Any text that path rejects goes to a loop with one regex match per
+token, which finds the first error and its offset.  Every pass is linear
+in the text.
 """
 
 import re
@@ -53,25 +56,34 @@ from .tree import Tree, decompose
 # An unquoted name, shared by the parser's scanner and the label check;
 # ``\s`` matches exactly the characters for which ``str.isspace`` is true.
 _NAME = r"[^\s();,:\ufeff]*"
-_BRANCH_LENGTH = r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"
+_MANTISSA = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_EXPONENT = r"[eE][+-]?[0-9]+"
+_BRANCH_LENGTH = rf"{_MANTISSA}(?:{_EXPONENT})?"
 # One token: leading space, a label, an optional branch length, and the
 # next character (a delimiter, an offending character, or '' at the end);
 # compiled with re.S.
 _TOKEN = rf"(\s*)({_NAME})(?::({_NAME}))?\s*(.?)"
 # The skeleton path's patterns.  Each pass is linear in the text and scans
 # for its first character in C.
-# Whitespace the grammar allows: a run after the start, '(' or ',', or a run
-# that ends at a delimiter or the end; the lookbehinds try a run only at
-# its first character.
-_SPACE = r"\s(?:(?<![^(,]\s)\s*|(?<!\s\s)\s*(?=[(),;]|\Z))"
-# A well-formed ':length' that ends at ')', ',', ';' or the end.
-_LENGTH = rf"(?<!;):(?:{_BRANCH_LENGTH})(?=[),;]|\Z)"
-# What no valid statement keeps after those passes, or a label before '('.
-_LEFTOVER = r"[\s:\ufeff(](?<![(),;]\()(?<!^\()"
-# A leaf's label follows '(' or ',' and precedes no '('.
-_LEAF_LABEL = r"[(,]([^(),;]*)(?!\()"
+# Whitespace the grammar allows inside a stripped statement: a run after '('
+# or ',', or a run that ends at a delimiter; the lookbehinds try a run only
+# at its first character.
+_SPACE = r"\s(?:(?<=[(,]\s)\s*|(?<!\s\s)\s*(?=[(),;]))"
+# A ':' that does not start a well-formed length ending at ')', ',' or ';'.
+# The exponent is an alternative to the delimiter, not an optional group,
+# which makes the common length without one cheaper.  A length at the end,
+# or a ':' after ';', needs no check: the statement must end at its one ';'.
+_BAD_COLON = rf":(?!{_MANTISSA}(?:[),;]|{_EXPONENT}[),;]))"
+# A '(' after a label or a length; the loop rejects one after ')'.
+_LABEL_BEFORE_OPEN = r"\((?<![(),;]\()(?<!^\()"
+# A leaf's label follows '(' or ',', ends at its length if any, and precedes no '('.
+_LEAF_LABEL = r"[(,]([^(),;:]*)(?::[^(),;]*)?(?!\()"
 _NOT_NODE_BYTES = bytes(set(range(256)).difference(b"(),"))
-_OPEN, _COMMA = b"(,"
+_OPEN, _CLOSE, _COMMA = b"(),"
+# The skeleton loop's folded symbols, written into each block in this order:
+# a cherry '(,)', an open node whose first child is a leaf '(,', and a close
+# whose second child is a leaf ',)'.
+_CHERRY, _OPEN_LEAF, _CLOSE_LEAF = b"^[]"
 #: Characters the skeleton loop encodes and strips at a time.
 _BLOCK = 1 << 16
 
@@ -135,31 +147,39 @@ def _parse_skeleton(text: str, labels: bool) -> "NewickDocument | None":
     """The document of a valid statement, or None for the token loop to explain."""
     if text.startswith("\ufeff"):
         text = text[1:]
-    text = re.sub(_SPACE, "", text)
-    if ":" in text:
-        text = re.sub(_LENGTH, "", text)
-    if re.search(_LEFTOVER, text) or not text.endswith(";") or text.find(";") < len(text) - 1:
+    # Whitespace at the ends goes by a strip, and ``split`` finds whitespace
+    # inside far faster than a regex; only then does the regex pass run, and
+    # any whitespace it leaves is an error.
+    text = text.strip()
+    if len(text.split(None, 1)) > 1:
+        text = re.sub(_SPACE, "", text)
+        if len(text.split(None, 1)) > 1:
+            return None
+    if ":" in text and re.search(_BAD_COLON, text):
+        return None
+    if "\ufeff" in text or re.search(_LABEL_BEFORE_OPEN, text):
+        return None
+    if not text.endswith(";") or text.find(";") < len(text) - 1:
         return None
     leaf = Tree()
-    interned: "dict[int, Tree]" = {}
+    leaf_id = id(leaf)
+    cherry = Tree(leaf, leaf)
+    interned: "dict[int, Tree]" = {leaf_id << 64 | leaf_id: cherry}
     # First children of the open nodes; None until the node's ',' is read.
     stack: "list[Tree | None]" = []
     node = None  # the completed internal node awaiting its delimiter, if any
-    # The delimiters are ASCII, so every label's bytes, and the final ';', go
-    # at once; a block at a time, so that no copy of the whole text is made.
+    # The delimiters are ASCII, so every label's bytes, every length and the
+    # final ';' go at once; a block at a time, so that no copy of the whole
+    # text is made.  A folded symbol does what its delimiters would do.
     for start in range(0, len(text), _BLOCK):
         block = text[start : start + _BLOCK].encode("utf-8", "surrogatepass")
-        for ch in block.translate(None, _NOT_NODE_BYTES):
+        skeleton = block.translate(None, _NOT_NODE_BYTES)
+        for ch in skeleton.replace(b"(,)", b"^").replace(b"(,", b"[").replace(b",)", b"]"):
             if ch == _OPEN:
                 if node is not None:
                     return None
                 stack.append(None)
-            elif ch == _COMMA:
-                if not stack or stack[-1] is not None:
-                    return None
-                stack[-1] = node or leaf
-                node = None
-            else:
+            elif ch == _CLOSE:
                 first = stack.pop() if stack else None
                 if first is None:
                     return None
@@ -168,12 +188,34 @@ def _parse_skeleton(text: str, labels: bool) -> "NewickDocument | None":
                 node = interned.get(key)
                 if node is None:
                     node = interned[key] = Tree(first, second)
+            elif ch == _CHERRY:
+                if node is not None:
+                    return None
+                node = cherry
+            elif ch == _COMMA:
+                if not stack or stack[-1] is not None:
+                    return None
+                stack[-1] = node or leaf
+                node = None
+            elif ch == _OPEN_LEAF:
+                if node is not None:
+                    return None
+                stack.append(leaf)
+            else:  # _CLOSE_LEAF
+                if not stack or stack.pop() is not None:
+                    return None
+                first = node or leaf
+                key = id(first) << 64 | leaf_id
+                node = interned.get(key)
+                if node is None:
+                    node = interned[key] = Tree(first, leaf)
     if stack:
         return None
     if not labels:
         return NewickDocument(node or leaf)
-    # A lone leaf follows no '(' or ','; its label is all that precedes the ';'.
-    found = tuple(re.findall(_LEAF_LABEL, text)) if node else (text[:-1],)
+    # A lone leaf follows no '(' or ','; its label is all that precedes its
+    # length or the ';'.
+    found = tuple(re.findall(_LEAF_LABEL, text)) if node else (text[:-1].partition(":")[0],)
     # The passes above have checked every label, so skip the constructor's checks.
     return tuple.__new__(NewickDocument, (node or leaf, found if any(found) else None))
 

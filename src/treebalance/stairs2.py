@@ -26,8 +26,10 @@ parent whose heavier child it is; the function stores one sum per head
 and keeps them until it returns.
 
 Both evaluators add their terms as (denominator, numerator) pairs through
-one balanced product tree (binary splitting), ``_balanced_fold``, each
-sum put over the least common multiple of its two denominators by
+``_fold_sums``.  Terms over a leaf count go in runs of 32 over one
+``math.lcm``; the runs' sums and any stored node sums then go through one
+balanced product tree (binary splitting), ``_balanced_fold``, each sum
+put over the least common multiple of its two denominators by
 ``_add_over_lcm``, so both make a near-linear number of big-integer steps
 in the distinct nodes.  The time is not near-linear: a caterpillar's
 values grow by 1.4 bits a leaf, CPython's products and gcds on them are
@@ -41,11 +43,15 @@ integers and rationals, never float.
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from math import gcd
+from itertools import chain, islice, repeat
+from math import gcd, lcm
+from operator import floordiv, mul
 
 from .tree import Tree, _postorder
 
 _ZERO = Fraction(0)
+#: Terms over leaf counts that ``_fold_sums`` adds over one lcm at a time.
+_RUN = 32
 
 
 def _numerators(t: Tree) -> "dict[int, int]":
@@ -63,12 +69,18 @@ def _numerators(t: Tree) -> "dict[int, int]":
     numerators: dict[int, int] = {}
     for node in reversed(_postorder(t)):
         m = multiplicity.pop(id(node))
-        na, nb = node.left.leaf_count, node.right.leaf_count
-        lo, hi = (na, nb) if na <= nb else (nb, na)
-        numerators[hi] = numerators.get(hi, 0) + m * lo
-        for child in (node.left, node.right):
-            if child.left is not None:
-                multiplicity[id(child)] = multiplicity.get(id(child), 0) + m
+        a = node.left
+        b = node.right
+        na = a.leaf_count
+        nb = b.leaf_count
+        if na <= nb:
+            numerators[nb] = numerators.get(nb, 0) + m * na
+        else:
+            numerators[na] = numerators.get(na, 0) + m * nb
+        if a.left is not None:
+            multiplicity[id(a)] = multiplicity.get(id(a), 0) + m
+        if b.left is not None:
+            multiplicity[id(b)] = multiplicity.get(id(b), 0) + m
     return numerators
 
 
@@ -100,31 +112,70 @@ def _add_over_lcm(s: "tuple[int, int]", u: "tuple[int, int]") -> "tuple[int, int
     return q1 // g * q2, p1 * (q2 // g) + p2 * (q1 // g)
 
 
+def _run_sums(denominators: Iterable[int], numerators: Iterable[int]):
+    """Yield (lcm, sum) for each run of up to ``_RUN`` terms, in order."""
+    denominators, numerators = iter(denominators), iter(numerators)
+    while run := tuple(islice(denominators, _RUN)):
+        q = lcm(*run)
+        yield q, sum(map(mul, map(floordiv, repeat(q), run), islice(numerators, len(run))))
+
+
+def _fold_sums(
+    denominators: Iterable[int], numerators: Iterable[int], sums: "Iterable[tuple[int, int]]" = ()
+) -> "tuple[int, int]":
+    """The sum of numerators[i] / denominators[i] and of the (q, p) ``sums``,
+    at least one term in all, as a (q, p) pair over the lcm of every q.
+
+    The denominators are leaf counts, small, so each run of up to ``_RUN``
+    of them is put over one ``math.lcm`` and summed by C-level ``map``s.
+    The runs' sums and ``sums``, which may be large, then go to
+    :func:`_balanced_fold` through :func:`_add_over_lcm` unchanged, so no
+    large denominator meets a sequential lcm.  The pair is the one that
+    folding every term through :func:`_add_over_lcm` gives.
+    """
+    return _balanced_fold(chain(_run_sums(denominators, numerators), sums), _add_over_lcm)
+
+
 def stairs2_direct(t: Tree) -> Fraction:
     """Index of ``t`` by the defining sum over internal nodes.
 
     The terms min/max are grouped by denominator: each distinct node adds
     its multiplicity in the unfolded tree times min(nL, nR) to one integer
     numerator per max(nL, nR).  The (denominator, numerator) terms are
-    added by :func:`_balanced_fold`, each sum put over the least common
-    multiple of its two denominators, so every gcd works on numbers the
-    size of the reduced result, not of the product of all denominators.
-    Time and memory follow the distinct nodes, not the unfolded tree: a
-    fully balanced tree of height h has h terms, a caterpillar of n leaves
+    added by :func:`_fold_sums`, each sum put over the least common
+    multiple of its denominators, so every gcd works on numbers the size
+    of the reduced result, not of the product of all denominators.  Time
+    and memory follow the distinct nodes, not the unfolded tree: a fully
+    balanced tree of height h has h terms, a caterpillar of n leaves
     n - 1.
     """
     if t.is_leaf:
         return _ZERO
-    q, p = _balanced_fold(_numerators(t).items(), _add_over_lcm)
+    numerators = _numerators(t)
+    q, p = _fold_sums(numerators, numerators.values())
     return Fraction(p, q * (t.leaf_count - 1))
 
 
-def _split(node: Tree) -> "tuple[Tree, Tree]":
-    """The children of ``node``, heavier first; on a tie the left one."""
-    # Only leaf counts matter: with equal counts the rule is symmetric, so
-    # no canonical-code tie-break is needed.
-    a, b = node.left, node.right
-    return (a, b) if a.leaf_count >= b.leaf_count else (b, a)
+def _parent_counts(order: "list[Tree]") -> "dict[int, int]":
+    """For each internal child of the nodes in ``order``, by id: 1 per
+    parent that holds it as its heavier child, 2 per one that holds it as
+    its lighter child, so exactly 1 means it is on that parent's heavy path.
+
+    The heavier child is the one with more leaves; on a tie the left one.
+    Only leaf counts matter: with equal counts the rule is symmetric, so no
+    canonical-code tie-break is needed.
+    """
+    count: dict[int, int] = {}
+    for node in order:
+        heavy = node.left
+        light = node.right
+        if heavy.leaf_count < light.leaf_count:
+            heavy, light = light, heavy
+        if heavy.left is not None:
+            count[id(heavy)] = count.get(id(heavy), 0) + 1
+        if light.left is not None:
+            count[id(light)] = count.get(id(light), 0) + 2
+    return count
 
 
 def stairs2_recursive(t: Tree) -> Fraction:
@@ -141,40 +192,41 @@ def stairs2_recursive(t: Tree) -> Fraction:
     lighter child, and every node with more than one parent, so each
     distinct node lies on one path.  A lighter child has at most half its
     parent's leaves, so heads nest at most log2(n) deep.  One pass over
-    ``_postorder``'s list counts each node's parents; a second takes the
-    heads in the same order, children first.  A head's S adds, through
-    :func:`_balanced_fold` and :func:`_add_over_lcm`, each path node's
-    n2/n1 and S(T2) and then S at the path's end, a leaf or a head below,
-    as (denominator, numerator) pairs.  A path of k nodes holds about
-    log2(k) partial sums at once; the heads' sums are kept until the call
-    returns, and the last, the root's, is divided by n - 1.
+    ``_postorder``'s list counts each node's parents
+    (:func:`_parent_counts`); a second takes the heads in the same order,
+    children first.  A head's walk lists each path node's n1 and n2 and
+    the stored S(T2) of its internal lighter children, then S at the
+    path's end, a leaf or a head below; :func:`_fold_sums` adds them.  A
+    path of k nodes holds its 2k leaf counts and about log2(k) partial
+    sums at once; the heads' sums are kept until the call returns, and the
+    last, the root's, is divided by n - 1.
     """
     if t.left is None:
         return _ZERO
-    # +1 from a parent that holds the node as its heavier child, +2 from one
-    # that holds it as its lighter child: exactly 1 means not a head.
     order = _postorder(t)
-    count: dict[int, int] = {}
-    for node in order:
-        for child, weight in zip(_split(node), (1, 2)):
-            if child.left is not None:
-                count[id(child)] = count.get(id(child), 0) + weight
+    count = _parent_counts(order)
     sums: dict[int, "tuple[int, int]"] = {}
-
-    def path_terms(node: Tree):
+    for head in order:
+        if count.get(id(head)) == 1:  # the root has no count
+            continue
+        heavies: list[int] = []
+        lights: list[int] = []
+        below: "list[tuple[int, int]]" = []
+        node = head
         while True:
-            heavy, light = _split(node)
-            yield heavy.leaf_count, light.leaf_count
+            heavy = node.left
+            light = node.right
+            if heavy.leaf_count < light.leaf_count:
+                heavy, light = light, heavy
+            heavies.append(heavy.leaf_count)
+            lights.append(light.leaf_count)
             if light.left is not None:
-                yield sums[id(light)]
+                below.append(sums[id(light)])
             if count.get(id(heavy)) != 1:  # a leaf has no count
                 if heavy.left is not None:
-                    yield sums[id(heavy)]
-                return
+                    below.append(sums[id(heavy)])
+                break
             node = heavy
-
-    for head in order:
-        if count.get(id(head)) != 1:  # nor has the root
-            sums[id(head)] = _balanced_fold(path_terms(head), _add_over_lcm)
+        sums[id(head)] = _fold_sums(heavies, lights, below)
     q, p = sums[id(t)]
     return Fraction(p, q * (t.leaf_count - 1))

@@ -32,8 +32,8 @@ _join: "Callable[[str, str], str]" = "({},{})".format
 
 
 class LimitError(ValueError):
-    """A size guard was hit: the fixed tree height, the fixed scoring bound
-    or the enumeration bound.
+    """A size guard was hit: the fixed scoring bound or the enumeration
+    bound.
 
     Only the enumeration bound can be set, through the ``bound`` arguments
     of :func:`~treebalance.shapes.enumerate_shapes`,
@@ -89,26 +89,27 @@ def _postorder(t: Tree, done: "Callable[[Tree], bool] | None" = None) -> "list[T
     out together with everything below it.
     """
     order: list[Tree] = []
-    # id(node) -> whether the node is in ``order`` yet; absent until expanded.
-    listed: dict[int, bool] = {}
-    stack = [t]
+    expanded: set[int] = set()  # the ids of the nodes pushed with their children
+    # Internal nodes only.  An expanded node goes back with a None and then
+    # its children above it, so the None is popped once they are listed,
+    # and then lists the node.
+    stack = [t] if t.left is not None else []
     while stack:
         node = stack.pop()
-        if node.left is None:
+        if node is None:
+            order.append(stack.pop())
             continue
         key = id(node)
-        state = listed.get(key)
-        if state is None:
-            if done is not None and done(node):
-                continue
-            # The node goes back on the stack below its children.  No other
-            # push of it can lie above that one, since only its descendants
-            # are pushed there, so its next pop is the one that lists it.
-            listed[key] = False
-            stack += node, node.left, node.right
-        elif not state:
-            listed[key] = True
-            order.append(node)
+        # A node met again was expanded earlier; in a DAG it cannot be one
+        # whose children are still being walked, so it is listed already.
+        if key in expanded or done is not None and done(node):
+            continue
+        expanded.add(key)
+        stack += node, None
+        if node.left.left is not None:
+            stack.append(node.left)
+        if node.right.left is not None:
+            stack.append(node.right)
     return order
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from treebalance.families import caterpillar, echelon, fully_balanced
-from treebalance.tree import LimitError, Tree, canonical, decompose, height, is_isomorphic
+from treebalance.tree import Tree, canonical, decompose, height, is_isomorphic
 
 
 def leaf_depths(t):
@@ -75,8 +75,12 @@ class TestFullyBalanced:
             fully_balanced(-1)
 
     def test_height_bound(self):
-        with pytest.raises(LimitError):
-            fully_balanced(31)
+        # No library bound: a tall tree holds one node per level.  The CLI's
+        # generate, which writes every leaf, refuses h > 22 (test_cli).
+        t = fully_balanced(64)
+        assert t.leaf_count == 2**64
+        assert distinct_internal_nodes(t) == 64
+        assert height(t) == 64
 
 
 class TestEchelon:

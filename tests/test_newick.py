@@ -153,12 +153,36 @@ class TestParse:
         # three-byte labels put block edges inside labels and characters.
         shape = echelon(12345)
         labels = tuple(f"\xe9{i}\u65e5" for i in range(shape.leaf_count))
-        text = " " + write_newick(NewickDocument(shape, labels)) + "\n"
+        written = " " + write_newick(NewickDocument(shape, labels)) + "\n"
+        # A branch length on every edge, and cherries and leaves on either
+        # side of a ',': block edges fall inside lengths and inside the
+        # folded '(,)', '(,' and ',)'.
+        yule = yule_newick(block, 3000)
+        delimiters = re.sub(r"[^(),]", "", yule)
+        assert "(,)" in delimiters and "(,(" in delimiters and "),)" in delimiters
         calls = []
         monkeypatch.setattr(newick, "_BLOCK", block)
         monkeypatch.setattr(newick, "_parse_tokens", lambda text: calls.append(text) or _parse_tokens(text))
-        assert agrees_with_the_token_loop(text)
+        for text in (written, yule):
+            assert agrees_with_the_token_loop(text)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "text,valid",
+        [
+            ("((A,B),(C,(D,E)));", True),
+            ("((A,B)(C,),D);", False),
+            ("((A,B)(C,D),E);", False),
+            ("(A,B,(C,D));", False),
+            ("((A,B),C,D);", False),
+            ("(A,B));", False),
+        ],
+    )
+    def test_folded_delimiters_read_alike_at_every_block_edge(self, monkeypatch, text, valid):
+        # An edge can split '(,)' into '(,' and ')', or into '(' and ',)'.
+        for block in range(1, len(text) + 1):
+            monkeypatch.setattr(newick, "_BLOCK", block)
+            assert agrees_with_the_token_loop(text) == valid
 
     def test_parsing_holds_little_beyond_the_tree_it_builds(self):
         # A caterpillar has a distinct node per leaf, each interned once.
