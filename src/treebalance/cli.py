@@ -6,12 +6,14 @@ verification or internal consistency failure, 2 usage or parse errors
 and running out of memory.
 All output is deterministic for a given set of flags.
 
-A ``table`` row costs a share of two sweeps over chunks of up to 1024
-rows, one per formula, each a few C-level steps per chunk: the recursive
+A ``table`` row costs a share of two sweeps over runs of up to 1024
+rows, one per formula, each a few C-level steps per run: the recursive
 one maps one peeling step over the earlier rows a run reads, the closed
-one works on the rows packed into one integer.  Then one gcd, and one
-integer division and a string slice for the decimal column, which is laid
-out directly, with no ``Decimal``.
+one works on the rows packed into one integer.  Each yields a run's
+numerators; the table compares them and gives the row its denominator
+(n - 1) << floor(log2 n).  Then one gcd, and one integer division and a
+string slice for the decimal column, which is laid out directly, with no
+``Decimal``.
 The bulk outputs, ``table`` and ``enumerate --emit-newick``, are written
 in blocks of about 16 KB, so an unbuffered stdout (``python -u``) does not
 make one system call per line; ``verify`` prints each leaf count's line as
@@ -26,8 +28,9 @@ from fractions import Fraction
 from math import gcd
 
 from .extremal import (
-    _closed_ratios,
-    _recursive_ratios,
+    _closed_numerators,
+    _recursive_numerators,
+    _runs,
     max_value_closed,
     max_value_even_recursion,
     max_value_recursive,
@@ -327,18 +330,20 @@ def cmd_table(args) -> int:
         nonlocal disagreement
         if args.format != "plain":
             yield sep.join(("n", "st2_max_exact", "st2_max_decimal"))
-        sweeps = zip(range(lo, hi + 1), _recursive_ratios(lo, hi), _closed_ratios(lo, hi))
-        for n, pair, closed in sweeps:
-            # Both pairs share the denominator (n - 1) << floor(log2 n).
-            if pair != closed:
-                disagreement = n
-                return
-            p, q = pair
-            g = gcd(p, q)
-            p //= g
-            q //= g
-            shown = _decimal(p, q, digits) if p else "0"
-            yield f"{n}{sep}{p}/{q}{sep}{shown}" if q != 1 else f"{n}{sep}{p}{sep}{shown}"
+        if lo == 1:  # value 0; the runs start at row 2
+            yield f"1{sep}0{sep}0"
+        sweeps = zip(_runs(lo, hi), _recursive_numerators(lo, hi), _closed_numerators(lo, hi))
+        for (first, end, top, _), numerators, closed in sweeps:
+            denominators = range((first - 1) << top, end << top, 1 << top)
+            for n, p, c, q in zip(range(first, end + 1), numerators, closed, denominators):
+                if p != c:
+                    disagreement = n
+                    return
+                g = gcd(p, q)
+                p //= g
+                q //= g
+                shown = _decimal(p, q, digits)
+                yield f"{n}{sep}{p}/{q}{sep}{shown}" if q != 1 else f"{n}{sep}{p}{sep}{shown}"
 
     _write_lines(rows())
     if disagreement is not None:

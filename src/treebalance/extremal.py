@@ -17,19 +17,21 @@ unreduced integer pair (numerator, (n - 1) << top), top = floor(log2 n):
 both share that denominator, so ``table`` compares the two numerators and
 reduces once, and the public functions are ``Fraction`` of the pair.
 
-``table`` takes both columns from sweeps over its rows.
-``_recursive_ratios(lo, hi)`` makes one peeling step per row from a row
-before it, and holds one array of earlier rows for the length of its
-call.  The rows of one top whose remainders n - 2**top have one bit
-length peel with the same shift, so a run of up to ``_CHUNK_ROWS`` of
-them is evaluated at once, by C-level ``map``s over the slice of earlier
-rows it reads.  ``_closed_ratios(lo, hi)`` evaluates the closed form for
-up to ``_CHUNK_ROWS`` rows of one bit length at once, side by side in the
-64-bit fields of one integer ("SIMD within a register"): a step per bit
-position serves every row of the chunk.  ``_closed_ratio`` is its
-one-row case, so the closed form has one implementation.  Neither sweep
-reads the other's values, so the cross-check stays independent, and the
-public functions still keep nothing between calls.
+``table`` takes both columns from sweeps over its rows, cut into runs by
+one walker, ``_runs(lo, hi)``: up to ``_CHUNK_ROWS`` rows of one
+top = floor(log2 n) whose remainders n - 2**top have one bit length.
+Each sweep yields one array of numerators per run, and ``table`` gives
+them the shared denominator (n - 1) << top and row 1 its value 0.
+``_recursive_numerators`` makes one peeling step per row from a row
+before it, the same shift for every row of a run, by C-level ``map``s
+over the slice of earlier rows the run reads; it holds one array of
+earlier rows for the length of its call.  ``_closed_numerators``
+evaluates the closed form for every row of a run at once, side by side
+in the 64-bit fields of one integer ("SIMD within a register"): a step
+per bit position serves the whole run.  ``_closed_ratio`` runs the same
+steps on n alone, so the closed form has one implementation.  Neither
+sweep reads the other's values, so the cross-check stays independent,
+and the public functions still keep nothing between calls.
 
 ``verify_extremal`` is the ground truth at small n: it scores every shape
 of each leaf count up to a bound once, exactly, and reports per count
@@ -61,23 +63,11 @@ from .tree import LimitError, Tree, canonical
 # The largest max_n whose scores fit a signed 64-bit array: none exceeds
 # lcm(1..max_n-1) * (max_n - 1), which passes 2**63 at max_n = 44.
 MAX_VERIFY_N = 43
-#: Most rows a sweep evaluates at once.  ``_closed_ratios`` packs them into
-#: one integer, 8 KB of fields: from 512 rows up a chunk takes as long per
-#: row, and over rows 1..200000 the sweep's traced peak is 79 KB at 1024
-#: rows and 315 KB at 4096.  ``_recursive_ratios`` maps over them.
+#: Most rows a run holds.  ``_closed_numerators`` packs a run into one
+#: integer, 8 KB of fields: from 512 rows up a run takes as long per row,
+#: and over rows 1..200000 the sweep's traced peak is 97 KB at 1024 rows
+#: and 384 KB at 4096.  ``_recursive_numerators`` maps over them.
 _CHUNK_ROWS = 1024
-#: The largest top = floor(log2 n) that a 64-bit field holds: both
-#: numerators are below n << top < 2**(2 * top + 1).
-_PACKED_TOP = 31
-
-
-def _peel(scaled: int, rest: int, top: int) -> int:
-    """N(2**top + rest) from scaled = N(rest), for 0 <= rest < 2**top.
-
-    N is the scaled maximum of :func:`max_value_recursive`; at rest = 0
-    the shift is on N(0) = 0.
-    """
-    return (((1 << top) - 1) << top) + rest + (scaled << (top + 1 - rest.bit_length()))
 
 
 def _recursive_ratio(n: int) -> "tuple[int, int]":
@@ -91,49 +81,57 @@ def _recursive_ratio(n: int) -> "tuple[int, int]":
     while rest:
         k = rest & -rest
         top = k.bit_length() - 1
-        scaled = _peel(scaled, prefix, top)
+        # N(2**top + prefix) from N(prefix), for 0 <= prefix < 2**top.
+        scaled = (((1 << top) - 1) << top) + prefix + (scaled << (top + 1 - prefix.bit_length()))
         prefix += k
         rest ^= k
     return scaled, (n - 1) << top
 
 
-def _recursive_ratios(lo: int, hi: int) -> "Iterator[tuple[int, int]]":
-    """Yield ``_recursive_ratio(n)`` for n = lo..hi, one peeling step per row.
+def _runs(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
+    """Yield (n, end, top, w) for the runs of rows n..end that cover max(lo, 2)..hi.
+
+    Every row of a run has top = floor(log2 n), and every remainder
+    n - 2**top has the bit length w; a run holds at most ``_CHUNK_ROWS``
+    rows.  Both sweeps walk these runs, and the row n of a run has the
+    denominator (n - 1) << top.
+    """
+    n = max(lo, 2)
+    while n <= hi:
+        top = n.bit_length() - 1
+        base = 1 << top
+        w = (n - base).bit_length()
+        end = min(hi, n + _CHUNK_ROWS - 1, base + (1 << w) - 1)
+        yield n, end, top, w
+        n = end + 1
+
+
+def _recursive_numerators(lo: int, hi: int) -> "Iterator[array]":
+    """Yield the numerators of ``_recursive_ratio`` for each run of ``_runs(lo, hi)``.
 
     Row n peels down to r = n - 2**top, which an earlier row gave when
-    r >= lo and ``_recursive_ratio`` gives otherwise.  Over a run of rows
-    with one top whose r have one bit length w, the peeling step is
+    r >= lo and ``_recursive_ratio`` gives otherwise.  Over a run, whose r
+    have one bit length w, the peeling step is
 
         N(n) = ((2**top - 1) << top) + r + (N(r) << (top + 1 - w)),
 
-    the same shift for every row, so a run of up to ``_CHUNK_ROWS`` rows
-    takes C-level ``map``s over the slice of earlier rows it peels down
-    to, into a signed 64-bit array while top <= ``_PACKED_TOP``.  Only the
-    rows that a later row peels down to are kept, written back a run at a
-    time by slice assignment: n is some row's r when
+    the same shift for every row, so a run takes C-level ``map``s over the
+    slice of earlier rows it peels down to, into a signed 64-bit array.
+    Only the rows that a later row peels down to are kept, written back a
+    run at a time by slice assignment: n is some row's r when
     n + 2**(bit length of n) <= hi.  That sum grows with n, so these rows
     run from lo to the largest such n, ``last``, whose bit length b is the
     largest with 2**(b - 1) + 2**b <= hi: the bit length of hi // 3.  They
-    go in one signed 64-bit array, allocated once at its full size, which
-    holds N(n) < n**2 while n < 2**31.  ValueError for lo < 0 comes when
-    the first row is drawn.
+    go in one signed 64-bit array, allocated once at its full size.  Every
+    N(n) < n**2 fits while hi < 2**31, and rows 0 and 1, whose N is 0, are
+    kept as the zeros they start as.  Needs 0 <= lo.
     """
-    if lo < 0:
-        raise ValueError("leaf count must be non-negative")
     b = (hi // 3).bit_length()
     last = min((1 << b) - 1, hi - (1 << b))
     kept = array("q", [0]) * max(0, last - lo + 1)
-    n = lo
-    while n <= hi:
-        if n <= 1:
-            yield 0, 1
-            n += 1
-            continue
-        top = n.bit_length() - 1
+    for n, end, top, w in _runs(lo, hi):
         base = 1 << top
         r = n - base
-        w = r.bit_length()
-        end = min(hi, n + _CHUNK_ROWS - 1, base + (1 << w) - 1)
         stop = end - base + 1  # the run's remainders are range(r, stop)
         split = min(max(r, lo), stop)  # and those from split on are in kept
         below = chain(
@@ -142,12 +140,10 @@ def _recursive_ratios(lo: int, hi: int) -> "Iterator[tuple[int, int]]":
         )
         start = (base - 1) << top
         shifted = map((1 << top + 1 - w).__mul__, below)
-        sums = map(add, range(start + r, start + stop), shifted)
-        numerators = array("q", sums) if top <= _PACKED_TOP else list(sums)
+        numerators = array("q", map(add, range(start + r, start + stop), shifted))
         if n <= last:
-            kept[n - lo:min(end, last) - lo + 1] = array("q", numerators[:last - n + 1])
-        yield from zip(numerators, range((n - 1) << top, end << top, base))
-        n = end + 1
+            kept[n - lo:min(end, last) - lo + 1] = numerators[:last - n + 1]
+        yield numerators
 
 
 def _closed_packed(packed: int, ones: int, top: int, bits: int) -> int:
@@ -176,48 +172,34 @@ def _closed_packed(packed: int, ones: int, top: int, bits: int) -> int:
     return ((packed - count) << top) + total
 
 
-def _closed_ratios(lo: int, hi: int) -> "Iterator[tuple[int, int]]":
-    """Yield ``_closed_ratio(n)`` for n = lo..hi, a chunk of rows at a time.
+def _closed_numerators(lo: int, hi: int) -> "Iterator[array]":
+    """Yield the numerators of ``_closed_ratio`` for each run of ``_runs(lo, hi)``.
 
-    Rows of one bit length go ``_CHUNK_ROWS`` at a time into the 64-bit
-    fields of one integer, through an ``array("Q")``, and
-    ``_closed_packed`` evaluates the chunk; the fields hold every row with
-    top <= ``_PACKED_TOP``.  A larger n is packed alone, as the integer
-    itself.  The steps go over the bits of the OR of the chunk's rows, so
-    a one-row chunk makes one step per set bit of n.  No recursive value
-    is read.  ValueError for lo < 0 comes when the first row is drawn.
+    A run's rows go into the 64-bit fields of one integer, through an
+    ``array("Q")``, and ``_closed_packed`` evaluates them all; the fields
+    hold every numerator while hi < 2**32.  The steps go over the bits of
+    the OR of the run's rows.  No recursive value is read.
     """
-    if lo < 0:
-        raise ValueError("leaf count must be non-negative")
-    n = lo
-    while n <= hi:
-        if n <= 1:
-            yield 0, 1
-            n += 1
-            continue
-        top = n.bit_length() - 1
-        if top > _PACKED_TOP:
-            yield _closed_packed(n, 1, top, n), (n - 1) << top
-            n += 1
-            continue
-        end = min(hi, n + _CHUNK_ROWS - 1, (2 << top) - 1)
+    for n, end, top, _ in _runs(lo, hi):
         rows = array("Q", range(n, end + 1))
-        size = len(rows) * rows.itemsize
-        packed = int.from_bytes(rows, sys.byteorder)
         ones = int.from_bytes(array("Q", [1]) * len(rows), sys.byteorder)
         # [n, end] shares the bits above its highest differing bit d and
         # holds every pattern below d: its OR is end | (2**d - 1).
         bits = end | ((1 << (n ^ end).bit_length()) - 1) >> 1
-        totals, denominators = array("Q"), array("Q")
-        totals.frombytes(_closed_packed(packed, ones, top, bits).to_bytes(size, sys.byteorder))
-        denominators.frombytes(((packed - ones) << top).to_bytes(size, sys.byteorder))
-        yield from zip(totals, denominators)
-        n = end + 1
+        packed = _closed_packed(int.from_bytes(rows, sys.byteorder), ones, top, bits)
+        numerators = array("Q")
+        numerators.frombytes(packed.to_bytes(len(rows) * rows.itemsize, sys.byteorder))
+        yield numerators
 
 
 def _closed_ratio(n: int) -> "tuple[int, int]":
     """The closed-form maximum for n as an unreduced (numerator, (n - 1) << top) pair."""
-    return next(_closed_ratios(n, n))
+    if n < 0:
+        raise ValueError("leaf count must be non-negative")
+    if n <= 1:
+        return 0, 1
+    top = n.bit_length() - 1
+    return _closed_packed(n, 1, top, n), (n - 1) << top
 
 
 def max_value_recursive(n: int) -> Fraction:
@@ -258,11 +240,11 @@ def max_value_closed(n: int) -> Fraction:
         (n - L) * 2**eL + sum_{i<L} (2**e1 + ... + 2**e_i) * 2**(eL - e_{i+1})
 
     which ``_closed_ratio`` returns over the denominator (n - 1) << eL;
-    the only reduction is the returned ``Fraction``.  It is the one-row
-    case of ``_closed_ratios``, which packs many n into one integer for
-    ``table``; for one n it makes one step per set bit.  Evaluated
-    directly, no recursion and no shared state, so it serves as an
-    independent check on :func:`max_value_recursive`.
+    the only reduction is the returned ``Fraction``.  It runs the steps of
+    ``_closed_packed``, which packs many n into one integer for ``table``,
+    on n alone, one step per set bit.  Evaluated directly, no recursion
+    and no shared state, so it serves as an independent check on
+    :func:`max_value_recursive`.
     """
     return Fraction(*_closed_ratio(n))
 

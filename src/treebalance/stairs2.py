@@ -26,12 +26,11 @@ parent whose heavier child it is; the function stores one sum per head
 and keeps them until it returns.
 
 Both evaluators add their terms as (denominator, numerator) pairs through
-``_fold_sums``.  Terms over a leaf count go in runs of 32 over one
+``_balanced_fold``.  Terms over a leaf count go in runs of 32 over one
 ``math.lcm``; the runs' sums and any stored node sums then go through one
-balanced product tree (binary splitting), ``_balanced_fold``, each sum
-put over the least common multiple of its two denominators by
-``_add_over_lcm``, so both make a near-linear number of big-integer steps
-in the distinct nodes.  The time is not near-linear: a caterpillar's
+balanced product tree (binary splitting), each sum put over the least
+common multiple of its two denominators by ``_add_over_lcm``, so both
+make a near-linear number of big-integer steps in the distinct nodes.  The time is not near-linear: a caterpillar's
 values grow by 1.4 bits a leaf, CPython's products and gcds on them are
 superlinear, and each doubling of the leaves roughly triples the time.
 The two functions agree exactly on every input; keeping both gives the
@@ -41,7 +40,7 @@ distinct node once, children first.  All arithmetic is exact, in
 integers and rationals, never float.
 """
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, lcm
@@ -50,7 +49,7 @@ from operator import floordiv, mul
 from .tree import Tree, _postorder
 
 _ZERO = Fraction(0)
-#: Terms over leaf counts that ``_fold_sums`` adds over one lcm at a time.
+#: Terms over leaf counts that ``_balanced_fold`` adds over one lcm at a time.
 _RUN = 32
 
 
@@ -84,27 +83,6 @@ def _numerators(t: Tree) -> "dict[int, int]":
     return numerators
 
 
-def _balanced_fold(items: Iterable, combine: Callable):
-    """Fold ``items``, at least one, left to right as ``combine(earlier, later)``
-    in a balanced product tree (binary splitting).
-
-    A binary counter holds at most one partial result per level, the fold
-    of 2**level consecutive items, so k items keep about log2(k) partial
-    results at once and are read as they arrive.  ``combine`` must be
-    associative; it need not be commutative.
-    """
-    pending: list = []
-    for item in items:
-        level = 0
-        while pending and pending[-1][0] == level:
-            level, item = level + 1, combine(pending.pop()[1], item)
-        pending.append((level, item))
-    result = pending.pop()[1]
-    while pending:
-        result = combine(pending.pop()[1], result)
-    return result
-
-
 def _add_over_lcm(s: "tuple[int, int]", u: "tuple[int, int]") -> "tuple[int, int]":
     """The sum p1/q1 + p2/q2 of two (q, p) terms, over lcm(q1, q2)."""
     (q1, p1), (q2, p2) = s, u
@@ -120,7 +98,7 @@ def _run_sums(denominators: Iterable[int], numerators: Iterable[int]):
         yield q, sum(map(mul, map(floordiv, repeat(q), run), islice(numerators, len(run))))
 
 
-def _fold_sums(
+def _balanced_fold(
     denominators: Iterable[int], numerators: Iterable[int], sums: "Iterable[tuple[int, int]]" = ()
 ) -> "tuple[int, int]":
     """The sum of numerators[i] / denominators[i] and of the (q, p) ``sums``,
@@ -128,12 +106,24 @@ def _fold_sums(
 
     The denominators are leaf counts, small, so each run of up to ``_RUN``
     of them is put over one ``math.lcm`` and summed by C-level ``map``s.
-    The runs' sums and ``sums``, which may be large, then go to
-    :func:`_balanced_fold` through :func:`_add_over_lcm` unchanged, so no
-    large denominator meets a sequential lcm.  The pair is the one that
-    folding every term through :func:`_add_over_lcm` gives.
+    The runs' sums and ``sums``, which may be large, are then added left
+    to right by :func:`_add_over_lcm` in a balanced product tree (binary
+    splitting), so no large denominator meets a sequential lcm.  A binary
+    counter holds at most one partial sum per level, the sum of 2**level
+    consecutive items, so k items keep about log2(k) partial sums at once
+    and are read as they arrive.  The pair is the one that adding the
+    terms one by one through :func:`_add_over_lcm` gives.
     """
-    return _balanced_fold(chain(_run_sums(denominators, numerators), sums), _add_over_lcm)
+    pending: list = []
+    for item in chain(_run_sums(denominators, numerators), sums):
+        level = 0
+        while pending and pending[-1][0] == level:
+            level, item = level + 1, _add_over_lcm(pending.pop()[1], item)
+        pending.append((level, item))
+    result = pending.pop()[1]
+    while pending:
+        result = _add_over_lcm(pending.pop()[1], result)
+    return result
 
 
 def stairs2_direct(t: Tree) -> Fraction:
@@ -142,7 +132,7 @@ def stairs2_direct(t: Tree) -> Fraction:
     The terms min/max are grouped by denominator: each distinct node adds
     its multiplicity in the unfolded tree times min(nL, nR) to one integer
     numerator per max(nL, nR).  The (denominator, numerator) terms are
-    added by :func:`_fold_sums`, each sum put over the least common
+    added by :func:`_balanced_fold`, each sum put over the least common
     multiple of its denominators, so every gcd works on numbers the size
     of the reduced result, not of the product of all denominators.  Time
     and memory follow the distinct nodes, not the unfolded tree: a fully
@@ -152,7 +142,7 @@ def stairs2_direct(t: Tree) -> Fraction:
     if t.is_leaf:
         return _ZERO
     numerators = _numerators(t)
-    q, p = _fold_sums(numerators, numerators.values())
+    q, p = _balanced_fold(numerators, numerators.values())
     return Fraction(p, q * (t.leaf_count - 1))
 
 
@@ -196,7 +186,7 @@ def stairs2_recursive(t: Tree) -> Fraction:
     (:func:`_parent_counts`); a second takes the heads in the same order,
     children first.  A head's walk lists each path node's n1 and n2 and
     the stored S(T2) of its internal lighter children, then S at the
-    path's end, a leaf or a head below; :func:`_fold_sums` adds them.  A
+    path's end, a leaf or a head below; :func:`_balanced_fold` adds them.  A
     path of k nodes holds its 2k leaf counts and about log2(k) partial
     sums at once; the heads' sums are kept until the call returns, and the
     last, the root's, is divided by n - 1.
@@ -227,6 +217,6 @@ def stairs2_recursive(t: Tree) -> Fraction:
                     below.append(sums[id(heavy)])
                 break
             node = heavy
-        sums[id(head)] = _fold_sums(heavies, lights, below)
+        sums[id(head)] = _balanced_fold(heavies, lights, below)
     q, p = sums[id(t)]
     return Fraction(p, q * (t.leaf_count - 1))

@@ -529,14 +529,17 @@ class TestTable:
         assert rc == 2
 
     def test_formula_disagreement_exits_one(self, capsys, monkeypatch):
-        # table compares the unreduced closed-form pair with the recursive one.
-        closed = cli._closed_ratios
+        # table compares the closed-form numerators with the recursive ones;
+        # both are over the row's one denominator.
+        closed = cli._closed_numerators
 
         def off_at_five(lo, hi):
-            for n, (p, q) in zip(range(lo, hi + 1), closed(lo, hi)):
-                yield p + (n == 5), q
+            for (n, *_), numerators in zip(cli._runs(lo, hi), closed(lo, hi)):
+                if n <= 5 < n + len(numerators):
+                    numerators[5 - n] += 1
+                yield numerators
 
-        monkeypatch.setattr(cli, "_closed_ratios", off_at_five)
+        monkeypatch.setattr(cli, "_closed_numerators", off_at_five)
         rc, out, err = run(capsys, ["table", "--from", "2", "--to", "6"])
         assert rc == 1
         assert err == "error: recursive and closed formulas disagree at n=5\n"
@@ -548,25 +551,25 @@ class TestTable:
         ]
 
     def test_disagreement_on_the_first_row_of_a_chunk(self, capsys, monkeypatch):
-        # The rows from 8000 are evaluated in chunks 8000..8191, then
-        # _CHUNK_ROWS rows at a time from 8192; every row of the third
-        # chunk is off by one.
-        first = 8192 + extremal._CHUNK_ROWS
+        # The rows from 8000 are evaluated in runs 8000..8191, 8192, 8193,
+        # 8194..8195 and so on, one per bit length of n - 8192; every row of
+        # the third run is off by one.
+        first = 8193
         argv = ["table", "--from", "8000", "--to", str(first + 5), "--format", "plain"]
         rc, whole, _ = run(capsys, argv)
         assert rc == 0
         packed = extremal._closed_packed
-        chunks = []
+        runs = []
 
         def off_in_the_third(packed_rows, ones, top, bits):
-            chunks.append(top)
-            return packed(packed_rows, ones, top, bits) + ones * (len(chunks) == 3)
+            runs.append(top)
+            return packed(packed_rows, ones, top, bits) + ones * (len(runs) == 3)
 
         monkeypatch.setattr(extremal, "_closed_packed", off_in_the_third)
         rc, out, err = run(capsys, argv)
         assert (rc, err) == (1, f"error: recursive and closed formulas disagree at n={first}\n")
         assert out.splitlines() == whole.splitlines()[: first - 8000]
-        assert len(chunks) == 3
+        assert len(runs) == 3
 
     def test_rows_rendered_before_running_out_of_memory_are_written(self, capsys, monkeypatch):
         decimal = cli._decimal

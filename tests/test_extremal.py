@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from treebalance import extremal
+from treebalance import cli, extremal
 from treebalance.extremal import (
     ExtremalReport,
+    _closed_numerators,
     _closed_ratio,
-    _closed_ratios,
+    _recursive_numerators,
     _recursive_ratio,
-    _recursive_ratios,
+    _runs,
     _shape_at,
     _split_at,
     max_value_closed,
@@ -127,6 +128,38 @@ def test_formulas_equal_their_definitions_for_huge_n(n):
     assert max_value_closed(n) == _closed_reference(n)
 
 
+def _swept(sweep, lo, hi):
+    """Rows max(lo, 2)..hi of ``sweep(lo, hi)`` as (numerator, (n - 1) << top) pairs."""
+    pairs = []
+    for (first, end, top, _), numerators in zip(_runs(lo, hi), sweep(lo, hi), strict=True):
+        assert len(numerators) == end - first + 1
+        pairs += zip(numerators, range((first - 1) << top, end << top, 1 << top))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(0, 5000), (1020, 1030), (8000, 8192 + 2 * 4096 + 5), (131071, 135000), (999990, 1000000),
+     (1, 1), (3, 2)],
+)
+def test_runs_cover_the_rows_in_order(lo, hi):
+    rows = []
+    for n, end, top, w in _runs(lo, hi):
+        assert 1 <= end - n + 1 <= extremal._CHUNK_ROWS
+        # Bit lengths grow with n: the ends of a run bound every row of it.
+        for m in (n, end):
+            assert m.bit_length() - 1 == top
+            assert (m - (1 << top)).bit_length() == w
+        rows += range(n, end + 1)
+    assert rows == list(range(max(lo, 2), hi + 1))
+
+
+def test_table_range_is_within_the_sweeps_bound():
+    # Both sweeps hold a row's numerator in a 64-bit field, which every
+    # row below 2**31 fits.
+    assert cli.TABLE_RANGE_CAP < 2**31
+
+
 @pytest.mark.parametrize(
     "lo,hi",
     [
@@ -147,11 +180,11 @@ def test_formulas_equal_their_definitions_for_huge_n(n):
         (65530, 65540),  # lo > last: no row is kept
         (98299, 98309),  # the remainder's bit length goes from 15 to 16
         (131071, 135000),  # across 2**17, and a run cut at _CHUNK_ROWS rows
-        (2**32 - 2100, 2**32 + 2100),  # past the rows a 64-bit field holds
     ],
 )
 def test_table_sweep_equals_the_per_n_loop(lo, hi):
-    assert list(_recursive_ratios(lo, hi)) == [_recursive_ratio(n) for n in range(lo, hi + 1)]
+    expected = [_recursive_ratio(n) for n in range(max(lo, 2), hi + 1)]
+    assert _swept(_recursive_numerators, lo, hi) == expected
 
 
 def test_table_sweep_keeps_only_the_rows_peeled_down_to():
@@ -159,17 +192,12 @@ def test_table_sweep_keeps_only_the_rows_peeled_down_to():
     # row's remainder: 551 KB as 8-byte entries, against 1.6 MB for all rows.
     tracemalloc.start()
     try:
-        for _ in _recursive_ratios(1, 200000):
+        for _ in _recursive_numerators(1, 200000):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_table_sweep_rejects_negative_rows():
-    with pytest.raises(ValueError):
-        next(_recursive_ratios(-1, 3))
 
 
 @pytest.mark.parametrize(
@@ -188,34 +216,32 @@ def test_table_sweep_rejects_negative_rows():
         (65535, 65535),
         (3, 2),
         # 4095, 4096 and 4097 rows into the 8192 rows of bit length 14: the
-        # last row ends, fills and follows a chunk
+        # last row ends inside, ends and follows a run of _CHUNK_ROWS rows
         (8192, 8192 + 4094),
         (8192, 8192 + 4095),
         (8192, 8192 + 4096),
         (8000, 8192 + 2 * 4096 + 5),
-        # the last packed bit lengths, and single rows past 2**32
+        # the last bit lengths the table's 64-bit fields could hold
         (2**31 - 2100, 2**31 + 2100),
-        (2**32 - 2100, 2**32 + 2100),
     ],
 )
 def test_closed_sweep_equals_the_per_n_pairs_and_the_definition(lo, hi):
-    pairs = list(_closed_ratios(lo, hi))
-    assert pairs == [_closed_ratio(n) for n in range(lo, hi + 1)]
+    pairs = _swept(_closed_numerators, lo, hi)
+    rows = range(max(lo, 2), hi + 1)
+    assert pairs == [_closed_ratio(n) for n in rows]
     # The definition, one Fraction per term, on every row of a short range
     # and on every 97th row of a long one.
     step = 1 if hi - lo < 20000 else 97
-    for n in range(lo, hi + 1, step):
-        p, q = pairs[n - lo]
-        assert q == (max(n, 2) - 1) << max(n.bit_length() - 1, 0)
-        assert Fraction(p, q) == _closed_reference(n)
+    for i in range(0, len(rows), step):
+        assert Fraction(*pairs[i]) == _closed_reference(rows[i])
 
 
 def test_closed_sweep_holds_one_chunk_at_a_time():
-    # A chunk is 1024 rows of 8 bytes, 8 KB per packed integer.  Packing
-    # all 68929 rows of bit length 18 at once takes 551 KB per integer.
+    # A run is at most 1024 rows of 8 bytes, 8 KB per packed integer.
+    # Packing all 68929 rows of bit length 18 at once takes 551 KB per integer.
     tracemalloc.start()
     try:
-        for _ in _closed_ratios(1, 200000):
+        for _ in _closed_numerators(1, 200000):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -327,8 +353,8 @@ class TestVerifyExtremal:
             raise AssertionError("verify_extremal evaluated a maximum-value formula")
 
         for name in ("max_value_recursive", "max_value_closed", "max_value_even_recursion",
-                     "_recursive_ratio", "_recursive_ratios", "_closed_ratio", "_closed_ratios",
-                     "_closed_packed"):
+                     "_recursive_ratio", "_recursive_numerators", "_closed_ratio",
+                     "_closed_numerators", "_closed_packed", "_runs"):
             monkeypatch.setattr(extremal, name, fail)
         for n, value in expected.items():
             *_, report = verify_extremal(n)

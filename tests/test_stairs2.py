@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -313,17 +314,17 @@ def test_each_evaluator_runs_without_the_others_rule(monkeypatch, evaluator, hel
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large-sum"])
 @pytest.mark.parametrize("length", [1, 31, 32, 33, 65])
 def test_run_sums_fold_as_the_terms_one_by_one(length, large):
-    # Runs of 32 terms over one lcm, the last one partial, give the pair
-    # that adding every term over the lcm gives: the lcm of all the
-    # denominators and the value times it.  A large sum, as a stored head
-    # sum is, goes to the fold beside the runs.
+    # Runs of 32 terms over one lcm, the last one partial, folded in a
+    # balanced tree, give the pair that adding every term over the lcm one
+    # by one gives: the lcm of all the denominators and the value times it.
+    # A large sum, as a stored head sum is, goes to the fold beside the runs.
     rng = random.Random(length * 2 + large)
     denominators = [rng.randrange(1, 30000) for _ in range(length)]
     numerators = [rng.randrange(30000) for _ in range(length)]
     sums = [(rng.getrandbits(3000) | 1, rng.getrandbits(3000))] if large else []
-    plain = stairs2._balanced_fold([*zip(denominators, numerators), *sums], stairs2._add_over_lcm)
-    assert stairs2._fold_sums(denominators, numerators, sums) == plain
-    assert stairs2._fold_sums(iter(denominators), iter(numerators), iter(sums)) == plain
+    plain = functools.reduce(stairs2._add_over_lcm, [*zip(denominators, numerators), *sums])
+    assert stairs2._balanced_fold(denominators, numerators, sums) == plain
+    assert stairs2._balanced_fold(iter(denominators), iter(numerators), iter(sums)) == plain
 
 
 def assert_all_agree(t):
