@@ -3,7 +3,9 @@
 Subcommands: compute, generate, max-value, verify, table, enumerate.
 Exit codes are a stable contract for CI use: 0 success/verified, 1
 verification or internal consistency failure, 2 usage or parse errors
-and running out of memory.
+and running out of memory.  When the reader of stdout is gone, the
+process ends by SIGPIPE, as other Unix filters do (shell status 141),
+with nothing on stderr.
 All output is deterministic for a given set of flags.
 
 A ``table`` row costs a share of two sweeps over runs of up to 1024
@@ -21,6 +23,7 @@ it is checked.
 """
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -418,6 +421,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # not a usage error: ``entry`` ends the process by SIGPIPE
     except (ValueError, OSError) as exc:  # NewickError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -427,5 +432,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The process entry: ``python -m treebalance`` and the ``treebalance`` script.
+
+    Freezes the collector once the imports are done, so that no collection,
+    the ones at interpreter exit included, walks the objects the interpreter,
+    the stdlib and the package made at start-up.  ``main`` itself leaves the
+    collector alone, for in-process callers.
+    """
+    gc.freeze()
+    try:
+        try:
+            return main()
+        finally:
+            sys.stdout.flush()  # here, not at exit, where a broken pipe is only a warning
+    except BrokenPipeError:
+        # Python ignores SIGPIPE; restore its default action and take it.
+        import signal
+
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)
+        raise
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())
