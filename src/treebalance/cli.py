@@ -5,21 +5,26 @@ Exit codes are a stable contract for CI use: 0 success/verified, 1
 verification or internal consistency failure, 2 usage or parse errors
 and running out of memory.  When the reader of stdout is gone, the
 process ends by SIGPIPE, as other Unix filters do (shell status 141),
-with nothing on stderr.
+with nothing on stderr; ``--help`` too.
 All output is deterministic for a given set of flags.
 
 A ``table`` row costs a share of two sweeps over runs of up to 1024
 rows, one per formula, each a few C-level steps per run: the recursive
 one maps one peeling step over the earlier rows a run reads, the closed
 one works on the rows packed into one integer.  Each yields a run's
-numerators; the table compares them and gives the row its denominator
-(n - 1) << floor(log2 n).  Then one gcd, and one integer division and a
-string slice for the decimal column, which is laid out directly, with no
-``Decimal``.
+numerators; the table compares a run's two arrays at once and gives row n
+the denominator (n - 1) << floor(log2 n).  Each run is then rendered as
+one block, a column at a time by C-level ``map``s: a gcd and two
+divisions reduce the values, one rounded division gives each value its
+decimal digits, and one ``%`` lays out the lines.  A value in (0.1, 1)
+is "0." and its digits, and one that rounds to 1 is one shared string.
+Ties, values that round neither into (0.1, 1) nor to 1, and precisions
+past 640 digits go to ``_decimal``, the reference renderer, which lays
+digits out directly, with no ``Decimal``.
 The bulk outputs, ``table`` and ``enumerate --emit-newick``, are written
-in blocks of about 16 KB, so an unbuffered stdout (``python -u``) does not
-make one system call per line; ``verify`` prints each leaf count's line as
-it is checked.
+in blocks of 16 KB or more, so an unbuffered stdout (``python -u``) does
+not make one system call per line; ``verify`` prints each leaf count's
+line as it is checked.
 """
 
 import argparse
@@ -28,7 +33,9 @@ import io
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
+from operator import add, floordiv, mod
 
 from .extremal import (
     _closed_numerators,
@@ -319,6 +326,54 @@ def cmd_verify(args) -> int:
     return 1
 
 
+def _decimals(ps, qs, digits: int) -> "tuple[str, list]":
+    """The decimals of the values p/q > 0, at least one: a format and one item each.
+
+    ``fmt % item`` is ``_decimal(p, q, digits)``.  Up to ``_STR_SAFE_DIGITS``
+    digits, C-level ``map``s take (2 p 10**digits + q) // (2 q), the
+    quotient c rounded half up, and its remainder, 0 exactly on a tie.
+    With 10**(digits - 1) < c < 10**digits and no tie, p/q lies in (0.1, 1),
+    where its text is "0." and c's digits; with c == 10**digits it rounds
+    to 1, tie or not.  Every other value, and every value past
+    ``_STR_SAFE_DIGITS`` digits, goes to ``_decimal``, the one reference
+    renderer.  When no value does, the items are the quotients themselves.
+    """
+    if digits > _STR_SAFE_DIGITS:
+        return "%s", list(map(_decimal, ps, qs, repeat(digits)))
+    ten = _ten(digits)
+    low = ten // 10
+    doubled = list(map((2).__mul__, qs))
+    scaled = list(map(add, map((2 * ten).__mul__, ps), qs))
+    cs = list(map(floordiv, scaled, doubled))
+    if low < min(cs) and max(cs) < ten and all(map(mod, scaled, doubled)):
+        return "0.%s", cs
+    one = _decimal(1, 1, digits)
+    return "%s", [
+        f"0.{c}" if low < c < ten and r else one if c == ten else _decimal(p, q, digits)
+        for p, q, c, r in zip(ps, qs, cs, map(mod, scaled, doubled))
+    ]
+
+
+def _table_block(first: int, numerators, top: int, digits: int, sep: str) -> str:
+    """The table lines of rows first, first + 1, ..., one block with no final newline.
+
+    Row n's value is its entry of ``numerators`` over (n - 1) << top.  A
+    gcd and two divisions, each a C-level ``map`` over the rows, reduce
+    every value to p/q, and one ``%`` lays out the whole block.
+    """
+    ns = range(first, first + len(numerators))
+    denominators = range((first - 1) << top, (ns.stop - 1) << top, 1 << top)
+    gs = list(map(gcd, numerators, denominators))
+    ps = list(map(floordiv, numerators, gs))
+    qs = list(map(floordiv, denominators, gs))
+    fmt, column = _decimals(ps, qs, digits)
+    rows = "\n".join([f"%s{sep}%s/%s{sep}{fmt}"] * len(ns))
+    block = rows % tuple(chain.from_iterable(zip(ns, ps, qs, column)))
+    if 1 in qs:  # an integer value is written "p", and only the exact column has a "/"
+        block = block.replace("/1" + sep, sep)
+    return block
+
+
 def cmd_table(args) -> int:
     lo, hi = args.from_n, args.to_n
     if not (1 <= lo <= hi <= TABLE_RANGE_CAP):
@@ -327,9 +382,11 @@ def cmd_table(args) -> int:
         raise ValueError(f"need 1 to {TABLE_PRECISION_CAP} significant digits")
     sep = {"csv": ",", "tsv": "\t", "plain": " "}[args.format]
     digits = args.precision
+    # Rows per block: a run, or fewer when the decimals alone pass a write's size.
+    step = max(1, _BLOCK_CHARS // digits)
     disagreement = None
 
-    def rows():
+    def blocks():
         nonlocal disagreement
         if args.format != "plain":
             yield sep.join(("n", "st2_max_exact", "st2_max_decimal"))
@@ -337,18 +394,18 @@ def cmd_table(args) -> int:
             yield f"1{sep}0{sep}0"
         sweeps = zip(_runs(lo, hi), _recursive_numerators(lo, hi), _closed_numerators(lo, hi))
         for (first, end, top, _), numerators, closed in sweeps:
-            denominators = range((first - 1) << top, end << top, 1 << top)
-            for n, p, c, q in zip(range(first, end + 1), numerators, closed, denominators):
-                if p != c:
-                    disagreement = n
-                    return
-                g = gcd(p, q)
-                p //= g
-                q //= g
-                shown = _decimal(p, q, digits)
-                yield f"{n}{sep}{p}/{q}{sep}{shown}" if q != 1 else f"{n}{sep}{p}{sep}{shown}"
+            count = end - first + 1
+            # Signed and unsigned 64-bit arrays of non-negative numerators: their
+            # bytes agree exactly when the values do, and compare in one memcmp.
+            if numerators.tobytes() != closed.tobytes():  # print the rows before the mismatch
+                count = next(i for i, (p, c) in enumerate(zip(numerators, closed)) if p != c)
+                disagreement = first + count
+            for i in range(0, count, step):
+                yield _table_block(first + i, numerators[i:min(i + step, count)], top, digits, sep)
+            if disagreement is not None:
+                return
 
-    _write_lines(rows())
+    _write_lines(blocks())
     if disagreement is not None:
         print(f"error: recursive and closed formulas disagree at n={disagreement}", file=sys.stderr)
         return 1
@@ -367,8 +424,20 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of the help text is not swallowed.
+
+    argparse's own ``print_help`` ignores an ``OSError`` from the write, so
+    help into a closed pipe would exit 0 with an unbuffered stdout.  The
+    subcommands' parsers are of this class too.
+    """
+
+    def print_help(self, file=None) -> None:
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treebalance",
         description="Exact stairs2 balance index computations on rooted binary trees.",
     )

@@ -9,6 +9,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from treebalance import cli, extremal
 from treebalance.cli import decimal_string, main
@@ -117,6 +118,81 @@ class TestDecimalString:
     def test_huge_exact_value_matches_the_reference(self, caterpillar_16000_index, digits):
         value = caterpillar_16000_index
         assert decimal_string(value, digits) == _reference_decimal(value, digits)
+
+
+def _run_texts(pairs, digits):
+    """The decimals of the values p/q, as the table's run renderer lays them out."""
+    fmt, column = cli._decimals([p for p, _ in pairs], [q for _, q in pairs], digits)
+    return [fmt % item for item in column]
+
+
+class TestRunDecimals:
+    """``cli._decimals``: a run's decimal column at once, held to ``_decimal``."""
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 2**80), st.integers(1, 2**80)), min_size=1, max_size=6),
+        st.integers(1, 700),
+    )
+    @example([(3, 4)], 1)
+    @example([(7, 8), (191, 200)], 2)
+    @example([(2017, 2048), (2033, 2048), (2, 3)], 10)
+    @example([(2, 3), (19, 20), (1, 1), (1, 20), (5, 7)], 1)
+    @example([(99999999996, 10**11), (3, 4)], 10)
+    @example([(2, 3), (1, 11)], 1)
+    @example([(3, 4), (1, 1)], 641)
+    def test_equals_the_reference_renderer(self, pairs, digits):
+        reduced = [(p // math.gcd(p, q), q // math.gcd(p, q)) for p, q in pairs]
+        expected = [cli._decimal(p, q, digits) for p, q in reduced]
+        assert _run_texts(reduced, digits) == expected
+        assert _run_texts(pairs, digits) == expected
+
+    @pytest.mark.parametrize(
+        "p,q,digits,expected",
+        [
+            # Ties, rounded half-even: table rows 3, 7, 26, 97 and 241.
+            (3, 4, 1, "0.8"),
+            (7, 8, 2, "0.88"),
+            (191, 200, 2, "0.96"),
+            (2017, 2048, 10, "0.9848632812"),
+            (2033, 2048, 10, "0.9926757812"),
+            # Carries to 10**digits, a tie or not.
+            (19, 20, 1, "1"),
+            (39, 40, 1, "1"),
+            (99999999996, 10**11, 10, "1.000000000"),
+            # q == 1.
+            (1, 1, 10, "1.000000000"),
+            (5, 1, 1, "5"),
+            # At most 0.1, also where c == 10**(digits - 1) without a tie.
+            (1, 20, 1, "0.05"),
+            (1, 11, 1, "0.09"),
+            (96, 1000, 2, "0.096"),
+            (1, 10, 3, "0.100"),
+            (1, 11, 2, "0.091"),
+        ],
+    )
+    def test_named_cases_alone_and_among_fast_rows(self, p, q, digits, expected):
+        assert _run_texts([(p, q)], digits) == [expected]
+        fast = [(2, 3), (5, 7)]  # in (0.1, 1) with no tie at any precision
+        texts = _run_texts(fast + [(p, q)] + fast, digits)
+        assert texts[2] == expected
+        assert texts == [cli._decimal(a, b, digits) for a, b in fast + [(p, q)] + fast]
+
+    @pytest.mark.parametrize("digits", [640, 641, 700])
+    def test_past_the_smallest_int_to_str_limit(self, digits):
+        # The fast layout converts up to 640 digits; past them every value
+        # goes to _decimal, which lifts the limit for its conversion.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int-to-str digit limit")
+        pairs = [(3, 4), (2, 3), (1, 1), (2017, 2048), (1, 20), (5, 1)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            texts = _run_texts(pairs, digits)
+            expected = [cli._decimal(p, q, digits) for p, q in pairs]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert texts == expected
+        assert texts[:2] == ["0.75" + "0" * (digits - 2), "0." + "6" * (digits - 1) + "7"]
 
 
 @pytest.fixture(scope="module")
@@ -571,21 +647,54 @@ class TestTable:
         assert out.splitlines() == whole.splitlines()[: first - 8000]
         assert len(runs) == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "tsv", "plain"])
+    def test_disagreement_mid_run_prints_the_rows_before_it(self, capsys, monkeypatch, fmt):
+        # Rows 90..130 are the runs 90..95, 96..127 and 128..130; only row 100
+        # of the second is off, so its rows 96..99 are printed too.
+        argv = ["table", "--from", "90", "--to", "130", "--format", fmt]
+        rc, whole, _ = run(capsys, argv)
+        assert rc == 0
+        closed = cli._closed_numerators
+        runs = []
+
+        def off_at_100(lo, hi):
+            for (n, end, *_), numerators in zip(cli._runs(lo, hi), closed(lo, hi)):
+                runs.append((n, end))
+                if n <= 100 <= end:
+                    numerators[100 - n] += 1
+                yield numerators
+
+        monkeypatch.setattr(cli, "_closed_numerators", off_at_100)
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (1, "error: recursive and closed formulas disagree at n=100\n")
+        header = fmt != "plain"
+        assert out.splitlines() == whole.splitlines()[: header + 10]
+        assert out.splitlines()[-1].startswith("99")
+        assert runs == [(90, 95), (96, 127)]
+
     def test_rows_rendered_before_running_out_of_memory_are_written(self, capsys, monkeypatch):
+        # Row 97's value 2017/2048 is a tie at ten digits, which the run
+        # 96..100 hands to _decimal; the run 90..95 before it is written.
+        argv = ["table", "--from", "90", "--to", "100", "--format", "plain"]
+        rc, whole, _ = run(capsys, argv)
+        assert rc == 0
         decimal = cli._decimal
 
-        def out_at_five(p, q, digits):
-            if (p, q) == (13, 16):
+        def out_at_97(p, q, digits):
+            if (p, q) == (2017, 2048):
                 raise MemoryError
             return decimal(p, q, digits)
 
-        monkeypatch.setattr(cli, "_decimal", out_at_five)
-        rc, out, err = run(capsys, ["table", "--from", "2", "--to", "6", "--format", "plain"])
+        monkeypatch.setattr(cli, "_decimal", out_at_97)
+        rc, out, err = run(capsys, argv)
         assert (rc, err) == (2, "error: out of memory\n")
-        assert out == "2 1 1.000000000\n3 3/4 0.7500000000\n4 1 1.000000000\n"
+        assert out.splitlines() == whole.splitlines()[:6]
+        assert out.startswith("90 ") and out.endswith("\n")
 
     @pytest.mark.parametrize("fmt,sep", [("csv", ","), ("tsv", "\t"), ("plain", " ")])
-    @pytest.mark.parametrize("precision,hi", [(1, 3000), (10, 3000), (60, 3000), (10000, 50)])
+    @pytest.mark.parametrize(
+        "precision,hi", [(1, 3000), (2, 3000), (10, 3000), (60, 3000), (641, 300), (10000, 50)]
+    )
     def test_rows_equal_the_fraction_rendering(self, capsys, fmt, sep, precision, hi):
         rc, out, err = run(
             capsys,

@@ -1,5 +1,6 @@
 """The process entry: ``python -m treebalance``, the console script and ``cli``'s own."""
 
+import argparse
 import gc
 import importlib
 import io
@@ -108,3 +109,33 @@ def _into_closed_reader(argv, head: int, unbuffered: bool) -> "tuple[int, bytes]
 ])
 def test_a_closed_reader_ends_the_process_by_sigpipe_with_nothing_on_stderr(argv, head, unbuffered):
     assert _into_closed_reader(argv, head, unbuffered) == (-signal.SIGPIPE, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["table", "-h"]], ids=["help", "table-h"])
+def test_help_into_a_closed_reader_ends_the_process_by_sigpipe(argv, unbuffered):
+    # A few KB, which a pipe would hold: the reader is gone from the start.
+    assert _into_closed_reader(argv, 0, unbuffered) == (-signal.SIGPIPE, b"")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["table", "-h"], ["verify", "--help"]])
+def test_help_text_is_argparse_own_and_a_failed_write_gets_through(monkeypatch, capsys, argv):
+    def help_of(parser_class):
+        monkeypatch.setattr(cli, "_Parser", parser_class)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr()
+
+    ours = help_of(cli._Parser)
+    assert ours.out.startswith("usage: treebalance") and ours.err == ""
+    assert help_of(argparse.ArgumentParser) == ours
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        cli.main(argv)
