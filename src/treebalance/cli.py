@@ -33,6 +33,7 @@ import io
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd
 from operator import add, floordiv, mod
@@ -66,9 +67,6 @@ COUNT_LEAF_CAP = 2048
 _BLOCK_CHARS = 1 << 14
 
 
-#: 10**i for the exponents a row at the default precision needs, and more:
-#: a larger power is computed when it is needed.
-_TENS = [10**i for i in range(64)]
 #: log10(2) * 10**30, rounded down: close enough that ``_decimal``'s estimate
 #: is off by at most the one step it corrects, at any bit length in memory.
 _LOG10_2 = 301029995663981195213738894724
@@ -77,8 +75,10 @@ _LOG10_2 = 301029995663981195213738894724
 _STR_SAFE_DIGITS = 640
 
 
+# A table's rows need the same few powers of ten: each is computed once.
+@lru_cache(maxsize=8)
 def _ten(e: int) -> int:
-    return _TENS[e] if e < 64 else 10**e
+    return 10**e
 
 
 def _decimal(p: int, q: int, digits: int) -> str:
@@ -86,8 +86,8 @@ def _decimal(p: int, q: int, digits: int) -> str:
 
     The rounded digits are laid out as ``str(Decimal)`` lays them out:
     plain when the last digit falls at the units place or after it and the
-    rounded value is at least 1E-6, scientific otherwise.  Powers of ten up
-    to 10**63 come from ``_TENS``.
+    rounded value is at least 1E-6, scientific otherwise.  Powers of ten
+    come from ``_ten``, which keeps the last few it made.
     """
     c = abs(p)
     # With e the difference of the bit lengths, 2**(e - 1) < c/q < 2**(e + 1),

@@ -14,8 +14,8 @@ n: the first two make one loop over n's set bits, O(popcount n) integer
 steps, with no memo, so nothing is kept between calls.  Their loops are
 the private ``_recursive_ratio`` and ``_closed_ratio``, which return the
 unreduced integer pair (numerator, (n - 1) << top), top = floor(log2 n):
-both share that denominator, so ``table`` compares the two numerators and
-reduces once, and the public functions are ``Fraction`` of the pair.
+both share that denominator, so the two numerators compare directly, and
+the public functions are ``Fraction`` of the pair.
 
 ``table`` takes both columns from sweeps over its rows, cut into runs by
 one walker, ``_runs(lo, hi)``: up to ``_CHUNK_ROWS`` rows of one
@@ -25,10 +25,12 @@ them the shared denominator (n - 1) << top and row 1 its value 0.
 ``_recursive_numerators`` makes one peeling step per row from a row
 before it, the same shift for every row of a run, by C-level ``map``s
 over the slice of earlier rows the run reads; it holds one array of
-earlier rows for the length of its call.  ``_closed_numerators``
-evaluates the closed form for every row of a run at once, side by side
-in the 64-bit fields of one integer ("SIMD within a register"): a step
-per bit position serves the whole run.  ``_closed_ratio`` runs the same
+earlier rows, indexed by row, for the length of its call.  The earlier
+rows below ``lo`` that the table reads come from the same sweep, run
+first and not yielded, so the sweep never calls ``_recursive_ratio``.
+``_closed_numerators`` evaluates the closed form for every row of a run
+at once, side by side in the 64-bit fields of one integer ("SIMD within
+a register"): a step per bit position serves the whole run.  ``_closed_ratio`` runs the same
 steps on n alone, so the closed form has one implementation.  Neither
 sweep reads the other's values, so the cross-check stays independent,
 and the public functions still keep nothing between calls.
@@ -54,7 +56,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 
 from .families import caterpillar, echelon
 from .shapes import DEFAULT_ENUM_BOUND, check_leaf_count, root_splits, split_blocks
@@ -109,9 +111,8 @@ def _runs(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
 def _recursive_numerators(lo: int, hi: int) -> "Iterator[array]":
     """Yield the numerators of ``_recursive_ratio`` for each run of ``_runs(lo, hi)``.
 
-    Row n peels down to r = n - 2**top, which an earlier row gave when
-    r >= lo and ``_recursive_ratio`` gives otherwise.  Over a run, whose r
-    have one bit length w, the peeling step is
+    Row n peels down to the earlier row r = n - 2**top.  Over a run, whose
+    r have one bit length w, the peeling step is
 
         N(n) = ((2**top - 1) << top) + r + (N(r) << (top + 1 - w)),
 
@@ -120,30 +121,30 @@ def _recursive_numerators(lo: int, hi: int) -> "Iterator[array]":
     Only the rows that a later row peels down to are kept, written back a
     run at a time by slice assignment: n is some row's r when
     n + 2**(bit length of n) <= hi.  That sum grows with n, so these rows
-    run from lo to the largest such n, ``last``, whose bit length b is the
+    run from 0 to the largest such n, ``last``, whose bit length b is the
     largest with 2**(b - 1) + 2**b <= hi: the bit length of hi // 3.  They
-    go in one signed 64-bit array, allocated once at its full size.  Every
-    N(n) < n**2 fits while hi < 2**31, and rows 0 and 1, whose N is 0, are
-    kept as the zeros they start as.  Needs 0 <= lo.
+    go in one signed 64-bit array indexed by row, allocated once at its
+    full size; rows 0 and 1, whose N is 0, are kept as the zeros they start
+    as.  The kept rows below lo come first, from the runs of
+    ``_runs(2, min(lo - 1, last))``, which are not yielded, so every row's
+    r is read from the array, and nothing here calls ``_recursive_ratio``.
+    That sweep costs a narrow range near 10**6 about 475000 unprinted
+    rows and 3.8 MB.  Every N(n) < n**2 fits while hi < 2**31.
     """
     b = (hi // 3).bit_length()
     last = min((1 << b) - 1, hi - (1 << b))
-    kept = array("q", [0]) * max(0, last - lo + 1)
-    for n, end, top, w in _runs(lo, hi):
+    kept = array("q", [0]) * max(0, last + 1)
+    for n, end, top, w in chain(_runs(2, min(lo - 1, last)), _runs(lo, hi)):
         base = 1 << top
         r = n - base
         stop = end - base + 1  # the run's remainders are range(r, stop)
-        split = min(max(r, lo), stop)  # and those from split on are in kept
-        below = chain(
-            map(itemgetter(0), map(_recursive_ratio, range(r, split))),
-            kept[split - lo:stop - lo],
-        )
         start = (base - 1) << top
-        shifted = map((1 << top + 1 - w).__mul__, below)
+        shifted = map((1 << top + 1 - w).__mul__, kept[r:stop])
         numerators = array("q", map(add, range(start + r, start + stop), shifted))
         if n <= last:
-            kept[n - lo:min(end, last) - lo + 1] = numerators[:last - n + 1]
-        yield numerators
+            kept[n:min(end, last) + 1] = numerators[:last - n + 1]
+        if n >= lo:
+            yield numerators
 
 
 def _closed_packed(packed: int, ones: int, top: int, bits: int) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import os
@@ -9,7 +10,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from treebalance import cli, extremal
 from treebalance.cli import decimal_string, main
@@ -546,6 +547,26 @@ class TestVerify:
         assert err == "error: max_n=44 exceeds the scoring bound 43\n"
 
 
+def _near(*anchors):
+    """Integers at each anchor and up to two either side of it."""
+    return st.sampled_from(anchors).flatmap(lambda a: st.integers(a - 2, a + 2))
+
+
+@st.composite
+def _table_bounds(draw):
+    """(--from, --to, --precision) at and around 0, 1, the caps and negatives.
+
+    --to is a few rows past --from, or at an anchor of its own; a valid
+    range of more than 20 rows is left out, so that each draw is quick.
+    """
+    cap = cli.TABLE_RANGE_CAP
+    lo = draw(_near(-cap, 0, 1, cap))
+    hi = draw(st.integers(-3, 12).map(lo.__add__) | _near(-cap, 0, 1, cap))
+    assume(not 1 <= lo <= hi <= cap or hi - lo <= 20)
+    precision = draw(_near(-cli.TABLE_PRECISION_CAP, 0, 1, 10, cli.TABLE_PRECISION_CAP))
+    return lo, hi, precision
+
+
 class TestTable:
     def test_csv_with_header(self, capsys):
         rc, out, _ = run(capsys, ["table", "--from", "2", "--to", "6"])
@@ -603,6 +624,36 @@ class TestTable:
     def test_bad_ranges_rejected(self, capsys, lo, hi):
         rc, _, _ = run(capsys, ["table", "--from", str(lo), "--to", str(hi)])
         assert rc == 2
+
+    @settings(max_examples=500, deadline=None)
+    @given(bounds=_table_bounds(), fmt_sep=st.sampled_from([("csv", ","), ("tsv", "\t"), ("plain", " ")]))
+    def test_bounds_exit_zero_with_every_row_or_two_with_one_line(self, bounds, fmt_sep):
+        (lo, hi, precision), (fmt, sep) = bounds, fmt_sep
+        argv = ["table", "--from", str(lo), "--to", str(hi), "--precision", str(precision),
+                "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            return
+        assert err == ""
+        rows = out.splitlines()
+        if fmt != "plain":
+            assert rows.pop(0) == sep.join(("n", "st2_max_exact", "st2_max_decimal"))
+        assert [row.split(sep)[0] for row in rows] == [str(n) for n in range(lo, hi + 1)]
+
+    def test_powers_of_ten_are_computed_once(self, capsys):
+        # Every row at 641 digits needs 10**641: it is made once, not once a row.
+        cli._ten.cache_clear()
+        rc, _, _ = run(capsys, ["table", "--from", "1", "--to", "2000", "--precision", "641"])
+        assert rc == 0
+        info = cli._ten.cache_info()
+        assert info.hits >= 2000
+        assert info.misses <= 4
 
     def test_formula_disagreement_exits_one(self, capsys, monkeypatch):
         # table compares the closed-form numerators with the recursive ones;

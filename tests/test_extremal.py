@@ -165,7 +165,7 @@ def test_table_range_is_within_the_sweeps_bound():
     [
         (1, 5000),
         (0, 40),
-        (600, 1700),  # straddles 1024: rows past 1624 read kept rows
+        (600, 1700),  # straddles 1024: rows past 1624 read rows of the range itself
         (1024, 1024),
         (30000, 140000),  # straddles 65536 and 131072
         (65000, 66100),
@@ -177,7 +177,7 @@ def test_table_range_is_within_the_sweeps_bound():
         (3, 2),
         (1020, 1030),  # lo inside a run, then across 1024
         (1023, 2049),  # every remainder bit length of top 10, lo = last
-        (65530, 65540),  # lo > last: no row is kept
+        (65530, 65540),  # lo > last: every row read is swept below lo, unprinted
         (98299, 98309),  # the remainder's bit length goes from 15 to 16
         (131071, 135000),  # across 2**17, and a run cut at _CHUNK_ROWS rows
     ],
@@ -198,6 +198,31 @@ def test_table_sweep_keeps_only_the_rows_peeled_down_to():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("lo,hi", [(600, 1700), (524200, 530000), (999990, 1000000)])
+def test_table_sweep_calls_no_per_n_loop(monkeypatch, lo, hi):
+    # Rows below lo that the range peels down to come from the sweep itself.
+    expected = [_recursive_ratio(n) for n in range(lo, hi + 1)]
+
+    def fail(n):
+        raise AssertionError("the table sweep called the per-n loop")
+
+    monkeypatch.setattr(extremal, "_recursive_ratio", fail)
+    assert _swept(_recursive_numerators, lo, hi) == expected
+
+
+def test_narrow_range_at_the_cap_keeps_the_rows_below_it():
+    # Rows 0..475712 are what some row up to 10**6 peels down to: 3.8 MB
+    # as 8-byte entries, swept even though none of them is yielded.
+    tracemalloc.start()
+    try:
+        for _ in _recursive_numerators(999990, 1000000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(
