@@ -315,8 +315,8 @@ class TestCompute:
 
     @pytest.mark.parametrize(
         "data, expected_rc",
-        [(b"(A\xff,B);", 2), (b"\xef\xbb\xbf(A,\r\n(B,C));\r\n", 0)],
-        ids=["invalid-utf8", "bom-crlf"],
+        [(b"(A\xff,B);", 2), (b"(A,B", 2), (b"\xef\xbb\xbf(A,\r\n(B,C));\r\n", 0)],
+        ids=["invalid-utf8", "truncated", "bom-crlf"],
     )
     def test_stdin_decodes_as_a_file_does(self, tmp_path, data, expected_rc):
         # Under the C locale sys.stdin would map bad bytes to surrogates.
